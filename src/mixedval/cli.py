@@ -44,8 +44,7 @@ from .geometry import (
     NotGeneric,
     dilate,
     exact_volume,
-    minkowski_sum_all,
-    origin_polytope,
+    scaled_sum,
 )
 from .jsonio import (
     Instance,
@@ -56,18 +55,14 @@ from .jsonio import (
     load_instance,
     points_to_json,
 )
+from . import __version__
 from .positivity import (
     SEGMENT_CRITERION_VALUATIONS,
-    candidate_segments,
     cylinder_lower_bound,
-    direction_matroid,
-    matroid_intersection,
-    owner_matroid,
+    positivity_witness,
 )
-from .valuations import builtin_valuations, cm, h_star_vector, mixed_polynomial
+from .valuations import builtin_valuations, cm, cm_terms, h_star_vector, mixed_polynomial
 from .verify import available_suites, run_suite, run_suites
-
-__version__ = "0.1.0"
 
 _INPUT_ERRORS = (
     InstanceError,
@@ -200,20 +195,16 @@ def _cmd_cm(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], int]:
     names = list(inst.polytopes)
     r, d = len(polys), inst.dim
 
-    value = cm(phi, polys, ambient_dim=d)
-    table = []
-    for mask in range(1 << r):
-        members = [i for i in range(r) if mask >> i & 1]
-        part = minkowski_sum_all([polys[i] for i in members]) if members else origin_polytope(d)
-        term = phi(part)
-        sign = 1 if (r - len(members)) % 2 == 0 else -1
-        table.append(
-            {
-                "subset": [names[i] for i in members],
-                "sign": sign,
-                "term": term,
-            }
-        )
+    terms = cm_terms(phi, polys, ambient_dim=d)
+    value = sum((sign * term for _, sign, term in terms), Fraction(0))
+    table = [
+        {
+            "subset": [names[i] for i in range(r) if mask >> i & 1],
+            "sign": sign,
+            "term": term,
+        }
+        for mask, sign, term in terms
+    ]
 
     results: dict[str, Any] = {
         "valuation": args.valuation,
@@ -226,20 +217,12 @@ def _cmd_cm(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], int]:
         results["note"] = "arity exceeds the ambient dimension, so the combination vanishes"
         lines.append(f"note: {results['note']}")
 
-    if args.valuation in SEGMENT_CRITERION_VALUATIONS and r <= d:
-        segments = candidate_segments(polys)
-        pick = matroid_intersection(
-            direction_matroid(tuple(seg.direction for seg in segments)),
-            owner_matroid(tuple(seg.owner for seg in segments)),
-            r,
-        )
-        results["positive"] = pick is not None
-        if pick is not None:
-            results["witness"] = [_segment_json(inst, segments[i]) for i in pick]
-        lines.append(f"positive: {pick is not None}")
-    elif args.valuation in SEGMENT_CRITERION_VALUATIONS:
-        results["positive"] = False
-        lines.append("positive: False")
+    if args.valuation in SEGMENT_CRITERION_VALUATIONS:
+        witness = positivity_witness(polys)
+        results["positive"] = witness is not None
+        if witness is not None:
+            results["witness"] = [_segment_json(inst, seg) for seg in witness]
+        lines.append(f"positive: {witness is not None}")
 
     for row in table:
         label = "{" + ", ".join(row["subset"]) + "}"
@@ -270,7 +253,7 @@ def _cmd_ehrhart(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], i
     ]
 
     probe = tuple(d + 2 if i == 0 else 1 for i in range(r))
-    probe_direct = phi(minkowski_sum_all([dilate(P, n) for P, n in zip(polys, probe)]))
+    probe_direct = phi(scaled_sum(polys, probe))
     probe_predicted = poly.evaluate(probe)
     if probe_predicted != probe_direct:
         raise CheckFailure(
@@ -375,18 +358,12 @@ def _cmd_positivity(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]
             results["note"] = "arity exceeds the ambient dimension, so the combination vanishes"
             lines.append("positive: False (arity exceeds the ambient dimension)")
         else:
-            segments = candidate_segments(polys)
-            pick = matroid_intersection(
-                direction_matroid(tuple(seg.direction for seg in segments)),
-                owner_matroid(tuple(seg.owner for seg in segments)),
-                r,
-            )
-            results["positive"] = pick is not None
-            lines.append(f"positive: {pick is not None}")
-            if pick is not None:
-                witness = [_segment_json(inst, segments[i]) for i in pick]
-                results["witness"] = witness
-                for w in witness:
+            witness = positivity_witness(polys)
+            results["positive"] = witness is not None
+            lines.append(f"positive: {witness is not None}")
+            if witness is not None:
+                results["witness"] = [_segment_json(inst, seg) for seg in witness]
+                for w in results["witness"]:
                     a, b = w["endpoints"]
                     lines.append(f"  {w['owner']}: {a} -> {b} direction {w['direction']}")
     else:

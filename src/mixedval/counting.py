@@ -1,12 +1,16 @@
 """Lattice point enumeration for closed and half-open polytopes.
 
-Counting scans the integer bounding box fiber by fiber: the first d-1
+One fiber scanner serves counts, enumeration and relative interiors.
+It scans the integer bounding box fiber by fiber: the first d-1
 coordinates are enumerated and the last coordinate's feasible interval
-is solved from the integerized constraint system.  Everything is exact
-integer arithmetic; boxes stay small at desk scale (<= 10^6 points).
+is solved from the integerized constraint system.  A count adds up the
+fiber lengths (and is cached), an enumeration expands each fiber.
+Everything is exact integer arithmetic; boxes stay small at desk scale
+(<= 10^6 points).
 
 A half-open polytope is a base polytope with a subset of facets removed,
-i.e. those inequalities become strict.
+i.e. those inequalities become strict.  The relative interior is the
+half-open polytope with every facet removed.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .geometry import (
-    EMPTY,
     Polytope,
     _require_polytope,
     dot_int,
@@ -26,8 +29,8 @@ from .geometry import (
 )
 from .linalg import vec
 
-# (coefficients, rhs, strict): sum a_i x_i <= b, or < b when strict
-Constraint = tuple[tuple[int, ...], int, bool]
+# (coefficients, rhs): sum a_i x_i <= b over the integers
+Constraint = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ def closed(P: Polytope) -> HalfOpenPolytope:
     return HalfOpenPolytope(P, frozenset())
 
 
-def _constraints(H: HalfOpenPolytope, all_strict: bool = False) -> list[Constraint] | None:
+def _constraints(H: HalfOpenPolytope) -> list[Constraint] | None:
     """Integerized constraint system, or None when no lattice point can exist."""
     base = H.base
     out: list[Constraint] = []
@@ -75,17 +78,16 @@ def _constraints(H: HalfOpenPolytope, all_strict: bool = False) -> list[Constrai
         if f.denominator != 1:
             return None
         fi = int(f)
-        out.append((e, fi, False))
-        out.append((tuple(-c for c in e), -fi, False))
+        out.append((e, fi))
+        out.append((tuple(-c for c in e), -fi))
     for i, fct in enumerate(base.facets):
-        strict = all_strict or (i in H.removed)
         b = fct.offset
-        if strict:
+        if i in H.removed:
             # a.x < b over integers: a.x <= ceil(b) - 1
             rhs = -((-b.numerator) // b.denominator) - 1
         else:
             rhs = b.numerator // b.denominator  # floor(b)
-        out.append((fct.normal, rhs, False))
+        out.append((fct.normal, rhs))
     return out
 
 
@@ -100,19 +102,24 @@ def _box(P: Polytope) -> list[tuple[int, int]] | None:
     return out
 
 
-def _enumerate(cons: list[Constraint], box: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    d = len(box)
+def _fibers(H: HalfOpenPolytope) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Nonempty fibers (prefix, lo, hi) of H, lexicographic order: the
+    lattice points of H are prefix + (x,) for lo <= x <= hi."""
+    cons = _constraints(H)
+    if cons is None:
+        return
+    box = _box(H.base)
+    if box is None:
+        return
     prefix_ranges = [range(lo, hi + 1) for lo, hi in box[:-1]]
     last_lo, last_hi = box[-1]
     for prefix in product(*prefix_ranges):
         lo, hi = last_lo, last_hi
-        ok = True
-        for a, b, _ in cons:
+        for a, b in cons:
             r = b - sum(ai * pi for ai, pi in zip(a[:-1], prefix))
             ad = a[-1]
             if ad == 0:
                 if r < 0:
-                    ok = False
                     break
             elif ad > 0:
                 q = r // ad
@@ -123,22 +130,19 @@ def _enumerate(cons: list[Constraint], box: list[tuple[int, int]]) -> Iterator[t
                 if q > lo:
                     lo = q
             if lo > hi:
-                ok = False
                 break
-        if ok:
-            for x in range(lo, hi + 1):
-                yield prefix + (x,)
+        else:
+            yield prefix, lo, hi
+
+
+def _relint(P: Polytope) -> HalfOpenPolytope:
+    P = _require_polytope(P)
+    return HalfOpenPolytope(P, frozenset(range(len(P.facets))))
 
 
 def half_open_points(H: HalfOpenPolytope) -> list[tuple[int, ...]]:
     """Lattice points of a half-open polytope, lexicographic order."""
-    cons = _constraints(H)
-    if cons is None:
-        return []
-    box = _box(H.base)
-    if box is None:
-        return []
-    return list(_enumerate(cons, box))
+    return [prefix + (x,) for prefix, lo, hi in _fibers(H) for x in range(lo, hi + 1)]
 
 
 def lattice_points(P: Polytope) -> list[tuple[int, ...]]:
@@ -148,62 +152,21 @@ def lattice_points(P: Polytope) -> list[tuple[int, ...]]:
 
 def relint_points(P: Polytope) -> list[tuple[int, ...]]:
     """Lattice points in the relative interior (all facets strict)."""
-    P = _require_polytope(P)
-    cons = _constraints(closed(P), all_strict=True)
-    if cons is None:
-        return []
-    box = _box(P)
-    if box is None:
-        return []
-    return list(_enumerate(cons, box))
+    return half_open_points(_relint(P))
 
 
 @lru_cache(maxsize=1 << 18)
-def _count_cached(H: HalfOpenPolytope) -> int:
-    cons = _constraints(H)
-    if cons is None:
-        return 0
-    box = _box(H.base)
-    if box is None:
-        return 0
-    d = len(box)
-    prefix_ranges = [range(lo, hi + 1) for lo, hi in box[:-1]]
-    last_lo, last_hi = box[-1]
-    total = 0
-    for prefix in product(*prefix_ranges):
-        lo, hi = last_lo, last_hi
-        for a, b, _ in cons:
-            r = b - sum(ai * pi for ai, pi in zip(a[:-1], prefix))
-            ad = a[-1]
-            if ad == 0:
-                if r < 0:
-                    lo = hi + 1
-                    break
-            elif ad > 0:
-                q = r // ad
-                if q < hi:
-                    hi = q
-            else:
-                q = -(r // (-ad))
-                if q > lo:
-                    lo = q
-            if lo > hi:
-                break
-        if lo <= hi:
-            total += hi - lo + 1
-    return total
+def count_half_open(H: HalfOpenPolytope) -> int:
+    """Number of lattice points of a half-open polytope (cached)."""
+    return sum(hi - lo + 1 for _, lo, hi in _fibers(H))
 
 
 def count_lattice_points(P: Polytope) -> int:
-    return _count_cached(closed(_require_polytope(P)))
-
-
-def count_half_open(H: HalfOpenPolytope) -> int:
-    return _count_cached(H)
+    return count_half_open(closed(_require_polytope(P)))
 
 
 def count_relint_points(P: Polytope) -> int:
-    return len(relint_points(P))
+    return count_half_open(_relint(P))
 
 
 def euler_relint_value(phi: Callable[[Polytope], Fraction], P: Polytope) -> Fraction:

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .counting import HalfOpenPolytope, count_half_open, count_lattice_points
@@ -27,6 +27,7 @@ from .geometry import (
     InexactSum,
     NotGeneric,
     Polytope,
+    _common_ambient,
     _lattice_tag,
     _require_polytope,
     contains,
@@ -34,17 +35,14 @@ from .geometry import (
     dilate,
     dot_int,
     hyperplane_section,
-    minkowski_sum,
     minkowski_sum_all,
     placing_cells,
+    scaled_sum,
     solve_in_basis,
     translate,
 )
 from .linalg import feasible_nonneg, is_zero, vadd, vec, vsub
 from .samplers import random_relint_point
-
-_msum = lru_cache(maxsize=1 << 16)(minkowski_sum)
-
 
 # -- half-open operators ------------------------------------------------------
 
@@ -226,10 +224,7 @@ class MixedCell:
             if n[self.owners[i]] == 0:
                 return None
             removed_normals.append(self.cell.facets[i].normal)
-        scaled: Polytope | None = None
-        for R, k in zip(self.summands, n):
-            part = dilate(R, k)
-            scaled = part if scaled is None else _msum(scaled, part)
+        scaled = scaled_sum(self.summands, n)
         idx = frozenset(_face_index(scaled, a) for a in removed_normals)
         return HalfOpenPolytope(scaled, idx)
 
@@ -324,19 +319,6 @@ def certify_dissection(D: Dissection) -> int:
     return total
 
 
-def _scaled_sum(polys: Sequence[Polytope], n: Sequence[int]) -> Polytope:
-    total: Polytope | None = None
-    for P, k in zip(polys, n):
-        if k == 0:
-            continue
-        part = dilate(P, k)
-        total = part if total is None else _msum(total, part)
-    if total is None:
-        d = polys[0].ambient_dim
-        return convex_hull([(0,) * d])
-    return total
-
-
 def dilated_cell_counts(D: Dissection, n: Sequence[int]) -> list[int]:
     """Half-open lattice counts of every cell rescaled summand-wise by n.
 
@@ -361,7 +343,7 @@ def certify_dilations(D: Dissection, samples: Iterable[Sequence[int]]) -> None:
     """Check the rescaled certificate at every sample vector."""
     for n in samples:
         total = sum(dilated_cell_counts(D, n))
-        expect = count_lattice_points(_scaled_sum(D.factors, n))
+        expect = count_lattice_points(scaled_sum(D.factors, n))
         if total != expect:
             raise CertificateError(
                 f"scaled cells count {total} at {tuple(n)}, the target {expect}"
@@ -405,10 +387,7 @@ def boxcell_dissection(d: int, n: int, *, seed: int = 0) -> Dissection:
             ]
             summands.append(convex_hull(verts))
         summands[0] = translate(summands[0], base)
-        body = summands[0]
-        for S in summands[1:]:
-            body = _msum(body, S)
-        cells.append(MixedCell(tuple(summands), body))
+        cells.append(MixedCell(tuple(summands), minkowski_sum_all(summands)))
     return open_dissection(Dissection(target, tuple(cells)), seed=seed)
 
 
@@ -430,7 +409,7 @@ def staircase_dissection(S1: Polytope, S2: Polytope) -> Dissection:
     for S in (S1, S2):
         if len(S.vertices) != S.dim + 1:
             raise GeometryError("staircases are built from simplices")
-    total = _msum(S1, S2)
+    total = minkowski_sum_all((S1, S2))
     p, q = S1.dim, S2.dim
     if total.dim != p + q:
         raise InexactSum("summands do not add dimensions")
@@ -475,10 +454,7 @@ def staircase_refine(
             + cell.summands[i + 1 : j]
             + cell.summands[j + 1 :]
         )
-        body = summands[0]
-        for R in summands[1:]:
-            body = _msum(body, R)
-        pieces.append(MixedCell(summands, body))
+        pieces.append(MixedCell(summands, minkowski_sum_all(summands)))
     refined = open_dissection(Dissection(cell.cell, tuple(pieces)), q)
     return refined.cells
 
@@ -492,12 +468,14 @@ class CayleyPolytope:
     embedding: Polytope
 
 
-def _common_ambient(polys: Sequence[Polytope]) -> int:
-    d = polys[0].ambient_dim
-    for P in polys[1:]:
-        if P.ambient_dim != d:
-            raise DimensionMismatch("factors live in different ambient spaces")
-    return d
+def _cayley_points(polys: Sequence[Polytope]) -> list[tuple]:
+    """The vertices of factor i lifted to height 1 in extra coordinate i."""
+    r = len(polys)
+    return [
+        tuple(v) + tuple(1 if t == i else 0 for t in range(r))
+        for i, P in enumerate(polys)
+        for v in P.vertices
+    ]
 
 
 def cayley_polytope(polys: Sequence[Polytope]) -> CayleyPolytope:
@@ -507,13 +485,7 @@ def cayley_polytope(polys: Sequence[Polytope]) -> CayleyPolytope:
     if not polys:
         raise ValueError("need at least one factor")
     _common_ambient(polys)
-    r = len(polys)
-    pts = []
-    for i, P in enumerate(polys):
-        tag = tuple(1 if t == i else 0 for t in range(r))
-        for v in P.vertices:
-            pts.append(tuple(v) + tag)
-    return CayleyPolytope(polys, convex_hull(pts))
+    return CayleyPolytope(polys, convex_hull(_cayley_points(polys)))
 
 
 def cayley_central_slice(C: CayleyPolytope) -> Polytope:
@@ -574,10 +546,7 @@ def _pull_back(
         if not g:
             raise CertificateError("a maximal cell misses a factor")
         summands.append(Polytope(d, g, _lattice_tag(g, None)))
-    body = summands[0]
-    for R in summands[1:]:
-        body = _msum(body, R)
-    mc = MixedCell(tuple(summands), body)
+    mc = MixedCell(tuple(summands), minkowski_sum_all(summands))
     if not mc.is_exact:
         raise InexactSum("pulled-back cell is not an exact sum")
     return mc
@@ -663,18 +632,10 @@ def mixed_difference_certificate(
         raise DimensionMismatch("inner and outer sums must have equal dimension")
     r = len(outer)
 
-    pts: list[tuple] = []
-    seen: set[tuple] = set()
-    for family in (inner, outer):
-        for i, P in enumerate(family):
-            tag = tuple(1 if t == i else 0 for t in range(r))
-            for v in P.vertices:
-                p = tuple(v) + tag
-                if p not in seen:
-                    seen.add(p)
-                    pts.append(p)
-        if family is inner:
-            n_inner = len(pts)
+    # the inner points first, then the outer points not among them
+    inner_pts = _cayley_points(inner)
+    n_inner = len(inner_pts)
+    pts = list(dict.fromkeys(inner_pts + _cayley_points(outer)))
 
     emb = convex_hull(pts)
     origin, basis = emb._chart
@@ -726,8 +687,8 @@ def certify_difference(
     for n in samples:
         total = sum(difference_counts(cert, n))
         expect = count_lattice_points(
-            _scaled_sum(cert.outer_factors, n)
-        ) - count_lattice_points(_scaled_sum(cert.inner_factors, n))
+            scaled_sum(cert.outer_factors, n)
+        ) - count_lattice_points(scaled_sum(cert.inner_factors, n))
         if total != expect:
             raise CertificateError(
                 f"difference cells count {total} at {tuple(n)}, expected {expect}"

@@ -19,13 +19,20 @@ facet normals from the summands' face directions and evaluates them in
 Python int, after clearing one common denominator of the local
 coordinates; only the facet offsets go back to Fraction, so the result
 is as exact as the hull of the vertex sums and much faster to get.
+
+This module owns the package's only Minkowski-sum cache.
+minkowski_sum_all and scaled_sum add pairs through it, and valuations,
+dissections and the CLI sum through those two, so a sum computed for
+one purpose (a mixed combination, a dissection cell, a certificate
+target) is reused by every other.  minkowski_sum itself stays uncached:
+the self-checks that test the sum algebra call it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -624,13 +631,35 @@ def _spans_3d(vectors: Sequence[Sequence[int]]) -> bool:
     return any(c[0] * v[0] + c[1] * v[1] + c[2] * v[2] for v in vectors)
 
 
+_cached_sum = lru_cache(maxsize=1 << 16)(minkowski_sum)
+
+
 def minkowski_sum_all(polys: Sequence[Polytope]) -> Polytope:
+    """P1 + ... + Pr, added left to right through the sum cache."""
     if not polys:
         raise ValueError("need at least one summand")
     acc = polys[0]
     for Q in polys[1:]:
-        acc = minkowski_sum(acc, Q)
+        acc = _cached_sum(acc, Q)
     return acc
+
+
+def scaled_sum(polys: Sequence[Polytope], n: Sequence[int]) -> Polytope:
+    """n1 P1 + ... + nr Pr; the origin when every ni is 0."""
+    if not polys or len(n) != len(polys):
+        raise ValueError("need at least one polytope and one scale for each")
+    d = _common_ambient(polys)
+    parts = [dilate(P, k) for P, k in zip(polys, n) if k]
+    return minkowski_sum_all(parts) if parts else origin_polytope(d)
+
+
+def _common_ambient(polys: Sequence[Polytope]) -> int:
+    """The ambient dimension shared by a nonempty family."""
+    d = polys[0].ambient_dim
+    for P in polys[1:]:
+        if P.ambient_dim != d:
+            raise DimensionMismatch("summands live in different ambient spaces")
+    return d
 
 
 # -- containment ---------------------------------------------------------------
@@ -740,20 +769,6 @@ def volume_in_chart(P: Polytope) -> Fraction:
     if P.dim == 0:
         return Fraction(0)
     loc = P.local_vertices
-    cells = placing_cells(loc, range(len(loc)))
-    return sum((_simplex_volume(loc, c) for c in cells), start=Fraction(0))
-
-
-def chart_volume_of(target: Polytope, P: Polytope) -> Fraction:
-    """Volume of P measured in target's affine chart (P inside aff(target))."""
-    loc = []
-    for v in P.vertices:
-        t = target.to_local(v)
-        if t is None:
-            raise DimensionMismatch("polytope leaves the chart's affine hull")
-        loc.append(t)
-    if rank([vsub(q, loc[0]) for q in loc[1:]]) < len(target._chart[1]):
-        return Fraction(0)
     cells = placing_cells(loc, range(len(loc)))
     return sum((_simplex_volume(loc, c) for c in cells), start=Fraction(0))
 

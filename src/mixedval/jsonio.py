@@ -60,6 +60,12 @@ def format_rational(x: Fraction) -> int | str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _json_list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def points_from_json(rows: Any, dim: int) -> list[tuple[Fraction, ...]]:
     if not isinstance(rows, list) or not rows:
         raise InstanceError("a polytope needs a nonempty list of points")
@@ -113,7 +119,7 @@ def instance_from_json(doc: Any) -> Instance:
                     )
         polytopes[str(name)] = convex_hull(pts, lattice=lattice)
     pairs: list[tuple[str, str]] = []
-    for entry in doc.get("pairs", []):
+    for entry in _json_list(doc.get("pairs", []), "'pairs'"):
         if not isinstance(entry, list) or len(entry) != 2:
             raise InstanceError(f"pair {entry!r} must name two polytopes")
         a, b = str(entry[0]), str(entry[1])
@@ -197,29 +203,39 @@ def dissection_from_json(doc: Any) -> Dissection:
         raise InstanceError(f"dissection document lacks {exc}") from exc
     if not isinstance(target_rows, list) or not target_rows:
         raise InstanceError("dissection needs a nonempty 'target'")
-    dim = len(target_rows[0])
+    dim = len(_json_list(target_rows[0], "a target point"))
+    if dim < 1:
+        raise InstanceError("target points need at least one coordinate")
     target = convex_hull(points_from_json(target_rows, dim))
     opener_row = doc.get("opener")
     opener = (
         None
         if opener_row is None
-        else tuple(parse_rational(c) for c in opener_row)
+        else points_from_json([opener_row], dim)[0]
     )
     factors_rows = doc.get("factors")
     factors = (
         None
         if factors_rows is None
-        else tuple(convex_hull(points_from_json(rows, dim)) for rows in factors_rows)
+        else tuple(
+            convex_hull(points_from_json(rows, dim))
+            for rows in _json_list(factors_rows, "'factors'")
+        )
     )
     cells = []
-    for entry in cell_docs:
+    for entry in _json_list(cell_docs, "'cells'"):
         if not isinstance(entry, Mapping):
             raise InstanceError("each cell must be a JSON object")
-        cell_poly = convex_hull(points_from_json(entry["vertices"], dim))
+        try:
+            vertex_rows, summand_rows = entry["vertices"], entry["summands"]
+        except KeyError as exc:
+            raise InstanceError(f"cell lacks {exc}") from exc
+        cell_poly = convex_hull(points_from_json(vertex_rows, dim))
         summands = tuple(
-            convex_hull(points_from_json(rows, dim)) for rows in entry["summands"]
+            convex_hull(points_from_json(rows, dim))
+            for rows in _json_list(summand_rows, "'summands'")
         )
-        removed = entry.get("removed", [])
+        removed = _json_list(entry.get("removed", []), "'removed'")
         nfacets = len(cell_poly.facets)
         for i in removed:
             if not isinstance(i, int) or not 0 <= i < nfacets:

@@ -38,6 +38,7 @@ __all__ = [
     "direction_matroid",
     "owner_matroid",
     "matroid_intersection",
+    "positivity_witness",
     "decide_positive",
     "cylinder_lower_bound",
     "SEGMENT_CRITERION_VALUATIONS",
@@ -198,6 +199,24 @@ def _augmenting_path(
 SEGMENT_CRITERION_VALUATIONS = frozenset({"dvol"})
 
 
+def positivity_witness(polys: Sequence[Polytope]) -> tuple[Segment, ...] | None:
+    """Lattice segments, one inside each polytope in order of owner, whose
+    directions are linearly independent; None when no such pick exists.
+
+    This is the segment criterion: the mixed lattice-point count of the
+    tuple is positive exactly when a witness exists.
+    """
+    polys = [_require_polytope(P) for P in polys]
+    r = len(polys)
+    if r and r > polys[0].ambient_dim:
+        return None
+    segments = candidate_segments(polys)
+    m1 = direction_matroid([s.direction for s in segments])
+    m2 = owner_matroid([s.owner for s in segments])
+    pick = matroid_intersection(m1, m2, r)
+    return None if pick is None else tuple(segments[i] for i in pick)
+
+
 def decide_positive(
     phi: Valuation,
     polys: Sequence[Polytope],
@@ -212,15 +231,7 @@ def decide_positive(
     """
     if phi.name not in SEGMENT_CRITERION_VALUATIONS or not polys:
         return cm(phi, polys, ambient_dim=ambient_dim) > 0
-    polys = [_require_polytope(P) for P in polys]
-    r = len(polys)
-    d = polys[0].ambient_dim
-    if r > d:
-        return False
-    segments = candidate_segments(polys)
-    m1 = direction_matroid([s.direction for s in segments])
-    m2 = owner_matroid([s.owner for s in segments])
-    return matroid_intersection(m1, m2, r) is not None
+    return positivity_witness(polys) is not None
 
 
 def _simplex_spans(P: Polytope) -> list[tuple[int, tuple[Vec, ...]]]:

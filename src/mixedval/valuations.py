@@ -14,13 +14,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .counting import count_lattice_points, count_relint_points, euler_relint_value
 from .geometry import (
     EMPTY,
-    DimensionMismatch,
     LatticeMismatch,
     Polytope,
     cut_halfspace,
@@ -29,10 +27,11 @@ from .geometry import (
     exact_volume,
     face_lattice,
     hyperplane_section,
-    minkowski_sum,
     minkowski_sum_all,
     origin_polytope,
+    scaled_sum,
     translate,
+    _common_ambient,
     _require_polytope,
 )
 from .linalg import frac, solve
@@ -47,9 +46,6 @@ from .samplers import (
 
 class ReconstructionError(ArithmeticError):
     """Computed values do not fit the promised polynomial form."""
-
-
-_msum = lru_cache(maxsize=1 << 16)(minkowski_sum)
 
 
 @dataclass(frozen=True)
@@ -100,12 +96,37 @@ def builtin_valuations() -> dict[str, Valuation]:
     }
 
 
-def _common_ambient(polys: Sequence[Polytope]) -> int:
-    d = polys[0].ambient_dim
-    for P in polys[1:]:
-        if P.ambient_dim != d:
-            raise DimensionMismatch("summands live in different ambient spaces")
-    return d
+def cm_terms(
+    phi: Valuation,
+    polys: Sequence[Polytope],
+    *,
+    ambient_dim: int | None = None,
+) -> list[tuple[int, int, Fraction]]:
+    """The terms (mask, sign, value) of cm, in mask order.
+
+    Bit i of mask selects polys[i]; value is phi of the Minkowski sum of
+    the selected polytopes (the origin for mask 0) and sign is
+    (-1)^(r - |mask|).  With no polytopes the one term is phi({0}); pass
+    ambient_dim to say where that origin lives.
+    """
+    polys = [_require_polytope(P) for P in polys]
+    r = len(polys)
+    if r:
+        d = _common_ambient(polys)
+    elif ambient_dim is None:
+        raise ValueError("ambient_dim is required when no polytopes are given")
+    else:
+        d = ambient_dim
+    sums: dict[int, Polytope] = {0: origin_polytope(d)}
+    terms = []
+    for mask in range(1 << r):
+        if mask:
+            low = mask & (mask - 1)
+            i = (mask & -mask).bit_length() - 1
+            sums[mask] = polys[i] if low == 0 else minkowski_sum_all((sums[low], polys[i]))
+        sign = -1 if (r - mask.bit_count()) % 2 else 1
+        terms.append((mask, sign, phi(sums[mask])))
+    return terms
 
 
 def cm(
@@ -121,57 +142,18 @@ def cm(
     empty subset contributes the origin.  With no polytopes this is
     phi({0}); pass ambient_dim to say where that origin lives.
     """
-    polys = [_require_polytope(P) for P in polys]
-    r = len(polys)
-    if r == 0:
-        if ambient_dim is None:
-            raise ValueError("ambient_dim is required when no polytopes are given")
-        return phi(origin_polytope(ambient_dim))
-    d = _common_ambient(polys)
-    sums: dict[int, Polytope] = {0: origin_polytope(d)}
-    total = Fraction(0)
-    for mask in range(1 << r):
-        if mask:
-            low = mask & (mask - 1)
-            i = (mask & -mask).bit_length() - 1
-            sums[mask] = polys[i] if low == 0 else _msum(sums[low], polys[i])
-        sign = -1 if (r - mask.bit_count()) % 2 else 1
-        total += sign * phi(sums[mask])
-    return total
-
-
-def _scaled_sum(polys: Sequence[Polytope], n: Sequence[int]) -> Polytope:
-    total: Polytope | None = None
-    for P, k in zip(polys, n):
-        if k == 0:
-            continue
-        part = dilate(P, k)
-        total = part if total is None else _msum(total, part)
-    return total if total is not None else origin_polytope(polys[0].ambient_dim)
+    terms = cm_terms(phi, polys, ambient_dim=ambient_dim)
+    return sum((sign * value for _, sign, value in terms), Fraction(0))
 
 
 def _grid_values(
     phi: Valuation, polys: Sequence[Polytope], box: Sequence[int]
 ) -> dict[tuple[int, ...], Fraction]:
-    """phi(n1 P1 + ... + nr Pr) for every n in prod {0..box_i}, built by
-    adding one summand at a time."""
-    r = len(polys)
-    d = polys[0].ambient_dim
-    sums: dict[tuple[int, ...], Polytope] = {}
-    values: dict[tuple[int, ...], Fraction] = {}
-    for n in itertools.product(*[range(b + 1) for b in box]):
-        nonzero = [j for j in range(r) if n[j]]
-        if not nonzero:
-            sums[n] = origin_polytope(d)
-        elif len(nonzero) == 1:
-            j = nonzero[0]
-            sums[n] = dilate(polys[j], n[j])
-        else:
-            i = nonzero[0]
-            prev = n[:i] + (n[i] - 1,) + n[i + 1 :]
-            sums[n] = _msum(sums[prev], polys[i])
-        values[n] = phi(sums[n])
-    return values
+    """phi(n1 P1 + ... + nr Pr) for every n in prod {0..box_i}."""
+    return {
+        n: phi(scaled_sum(polys, n))
+        for n in itertools.product(*[range(b + 1) for b in box])
+    }
 
 
 def _finite_difference(
@@ -232,7 +214,6 @@ def mixed_polynomial(phi: Valuation, polys: Sequence[Polytope]) -> MixedPolynomi
     polys = [_require_polytope(P) for P in polys]
     if not polys:
         raise ValueError("need at least one polytope")
-    _common_ambient(polys)
     r = len(polys)
     D = minkowski_sum_all(polys).dim
     values = _grid_values(phi, polys, [D] * r)
@@ -250,7 +231,7 @@ def mixed_polynomial(phi: Valuation, polys: Sequence[Polytope]) -> MixedPolynomi
                 f"{phi.name} is not reproduced on the evaluation grid at {n}"
             )
     probe = (D + 1,) + (1,) * (r - 1)
-    if poly.evaluate(probe) != phi(_scaled_sum(polys, probe)):
+    if poly.evaluate(probe) != phi(scaled_sum(polys, probe)):
         raise ReconstructionError(
             f"{phi.name} deviates from its degree-{D} fit beyond the grid"
         )
@@ -270,7 +251,6 @@ def cm_multi(
         raise ValueError("multiplicities must be nonnegative")
     if not polys:
         raise ValueError("need at least one polytope")
-    _common_ambient(polys)
     values = _grid_values(phi, polys, alpha)
     return _finite_difference(values, alpha)
 
@@ -287,7 +267,7 @@ def charac_recursion_check(phi: Valuation, polys: Sequence[Polytope]) -> bool:
     rest = polys[2:]
     lhs = cm(phi, polys)
     rhs = (
-        cm(phi, [_msum(polys[0], polys[1]), *rest])
+        cm(phi, [minkowski_sum_all(polys[:2]), *rest])
         - cm(phi, [polys[0], *rest])
         - cm(phi, [polys[1], *rest])
     )
@@ -301,7 +281,7 @@ def shift_valuation(phi: Valuation, Q: Polytope) -> Valuation:
         raise LatticeMismatch("shift polytope must have integer vertices")
     return Valuation(
         f"{phi.name}+shift",
-        lambda P: phi(_msum(P, Q)),
+        lambda P: phi(minkowski_sum_all((P, Q))),
         phi.lattice_requirement,
     )
 

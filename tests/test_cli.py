@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from mixedval import certify_dissection, dissection_from_json
+import mixedval
+from mixedval import (
+    builtin_valuations,
+    certify_dissection,
+    cm_terms,
+    dissection_from_json,
+    format_rational,
+    instance_from_json,
+)
 from mixedval.cli import main
 
 TRI_SEG = {
@@ -66,9 +74,27 @@ def test_cm_json_report(instance, capsys):
     code, report = run_json(capsys, ["cm", "--input", instance(TRI_SEG)])
     assert code == 0
     assert report["command"] == "cm"
+    assert report["version"] == mixedval.__version__
     assert report["results"]["value"] == 2
     assert len(report["results"]["terms"]) == 4
     assert {w["owner"] for w in report["results"]["witness"]} == {"T", "S"}
+
+
+@pytest.mark.parametrize("valuation", ["dvol", "vol", "interior"])
+def test_cm_json_terms_are_the_library_terms(instance, capsys, valuation):
+    code, report = run_json(capsys, ["cm", "--input", instance(THREE), "--valuation", valuation])
+    assert code == 0
+    names = list(THREE["polytopes"])
+    polys = instance_from_json(THREE).family()
+    terms = cm_terms(builtin_valuations()[valuation], polys)
+    assert report["results"]["terms"] == [
+        {
+            "subset": [names[i] for i in range(len(names)) if mask >> i & 1],
+            "sign": sign,
+            "term": format_rational(value),
+        }
+        for mask, sign, value in terms
+    ]
 
 
 def test_cm_above_dimension_notes_vanishing(instance, capsys):
@@ -225,6 +251,13 @@ def test_usage_errors_exit_one(capsys):
 def test_bad_valuation_exits_one(instance, capsys):
     assert main(["cm", "--input", instance(TRI_SEG), "--valuation", "nope"]) == 1
     assert "unknown valuation" in capsys.readouterr().err
+
+
+def test_non_list_pairs_exit_one(instance, capsys):
+    assert main(["cm", "--input", instance(dict(TRI_SEG, pairs=5))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mixedval: error:")
+    assert err.count("\n") == 1
 
 
 def test_rational_instance_with_lattice_valuation_exits_one(instance, capsys):

@@ -22,6 +22,7 @@ from mixedval import (
     origin_polytope,
     point_polytope,
     scale,
+    scaled_sum,
     translate,
 )
 from mixedval.geometry import solve_in_basis
@@ -170,6 +171,24 @@ def test_three_dimensional_sum_matches_hull_of_vertex_sums():
             assert S.vertices == H.vertices, (kind, P, Q)
             assert S.facets == H.facets, (kind, P, Q)
             assert S.facet_tight_sets == H.facet_tight_sets, (kind, P, Q)
+
+
+def test_scaled_sum_is_the_sum_of_dilates():
+    rng = random.Random(11)
+    for d in (2, 3):
+        polys = [
+            random_lattice_polytope(rng, d),
+            random_rational_polytope(rng, d),
+            random_lattice_polytope(rng, d),
+        ]
+        for n in [(2, 0, 1), (0, 3, 0), (1, 1, 2), (0, 0, 0)]:
+            S = scaled_sum(polys, n)
+            expect = minkowski_sum_all([dilate(P, k) for P, k in zip(polys, n)])
+            assert S == expect
+            assert S.facets == expect.facets
+        assert scaled_sum(polys, (0, 0, 0)) == origin_polytope(d)
+        with pytest.raises(ValueError):
+            scaled_sum(polys, (1, 1))
 
 
 @given(lattice_polytopes())

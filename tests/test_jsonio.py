@@ -87,6 +87,7 @@ def test_lattice_defaults_to_integers():
         lambda d: d.update(polytopes={"P": []}),
         lambda d: d.update(pairs=[["T", "missing"]]),
         lambda d: d.update(pairs=[["T"]]),
+        lambda d: d.update(pairs=5),
     ],
 )
 def test_instance_validation_errors(mutate):
@@ -145,5 +146,26 @@ def test_dissection_documents_round_trip():
 def test_dissection_document_rejects_bad_removed_index():
     doc = dissection_to_json(boxcell_dissection(1, 2))
     doc["cells"][0]["removed"] = [99]
+    with pytest.raises(InstanceError):
+        dissection_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["cells"][0].pop("vertices"),
+        lambda d: d["cells"][0].pop("summands"),
+        lambda d: d["cells"][0].update(removed=3),
+        lambda d: d["cells"][0].update(summands=3),
+        lambda d: d.update(cells=5),
+        lambda d: d.update(opener=5),
+        lambda d: d.update(factors=5),
+        lambda d: d.update(target=[5, 6]),
+        lambda d: d.update(target=[[]]),
+    ],
+)
+def test_dissection_document_rejects_malformed_fields(mutate):
+    doc = dissection_to_json(boxcell_dissection(1, 2))
+    mutate(doc)
     with pytest.raises(InstanceError):
         dissection_from_json(doc)

@@ -21,8 +21,10 @@ from mixedval import (
     matroid_intersection,
     owner_matroid,
     point_polytope,
+    positivity_witness,
     scale,
 )
+from mixedval.linalg import rank, vec
 
 from .conftest import hull
 from .strategies import polytope_families
@@ -105,6 +107,23 @@ def test_decide_positive_frozen_cases(unit_square, unit_triangle, e1_segment, e2
     assert decide_positive(DVOL, [unit_square, diag])
     # Arity above the ambient dimension is never positive.
     assert not decide_positive(DVOL, [unit_square, unit_triangle, e1_segment])
+
+
+def test_positivity_witness_picks_independent_segments(unit_square, unit_triangle, e1_segment):
+    cube = hull(*[(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    families = [
+        [unit_triangle, e1_segment],
+        [unit_square, hull((0, 0), (1, 1))],
+        [cube, cube, hull((0, 0, 0), (1, 2, 3))],
+    ]
+    for polys in families:
+        witness = positivity_witness(polys)
+        assert [s.owner for s in witness] == list(range(len(polys)))
+        for s in witness:
+            assert all(polys[s.owner].contains_point(p) for p in s.endpoints)
+        assert rank([vec(s.direction) for s in witness]) == len(polys)
+    assert positivity_witness([e1_segment, e1_segment]) is None
+    assert positivity_witness([unit_square, unit_triangle, e1_segment]) is None
 
 
 def test_decide_positive_falls_back_to_evaluation(unit_triangle, e1_segment):

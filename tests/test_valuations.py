@@ -14,10 +14,12 @@ from mixedval import (
     check_valuation,
     cm,
     cm_multi,
+    cm_terms,
     count_lattice_points,
     count_relint_points,
     dilate,
     h_star_vector,
+    minkowski_sum_all,
     mixed_polynomial,
     point_polytope,
     scale,
@@ -94,6 +96,25 @@ def test_cm_with_no_polytopes_needs_a_dimension():
     assert cm(DVOL, [], ambient_dim=2) == 1
     with pytest.raises(ValueError):
         cm(DVOL, [])
+
+
+@pytest.mark.parametrize("phi", [DVOL, VOL, EULER, INTERIOR])
+def test_cm_is_the_sum_of_its_terms(phi, unit_square, unit_triangle, e1_segment):
+    for polys in (
+        [unit_square, unit_triangle],
+        [unit_triangle, e1_segment, translate(unit_square, (1, 2))],
+        [e1_segment],
+        [],
+    ):
+        r = len(polys)
+        terms = cm_terms(phi, polys, ambient_dim=2)
+        assert [mask for mask, _, _ in terms] == list(range(1 << r))
+        for mask, sign, value in terms:
+            chosen = [P for i, P in enumerate(polys) if mask >> i & 1]
+            part = minkowski_sum_all(chosen) if chosen else point_polytope((0, 0))
+            assert sign == (-1) ** (r - len(chosen))
+            assert value == phi(part)
+        assert sum(sign * value for _, sign, value in terms) == cm(phi, polys, ambient_dim=2)
 
 
 def test_mixed_polynomial_of_triangle(unit_triangle):
