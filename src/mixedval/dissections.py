@@ -106,7 +106,7 @@ def direction_matching_point(P: Polytope, q: Sequence) -> tuple[int, ...]:
     H = half_open_by_point(P, q)
     if not H.removed:
         raise GeometryError("point sees no facet; a direction always sees one")
-    _, basis = P._chart
+    _, basis, _ = P._chart
     k = len(basis)
     facets = P.facets
     nf = len(facets)
@@ -638,7 +638,7 @@ def mixed_difference_certificate(
     pts = list(dict.fromkeys(inner_pts + _cayley_points(outer)))
 
     emb = convex_hull(pts)
-    origin, basis = emb._chart
+    origin, basis, _ = emb._chart
     loc = []
     for p in pts:
         t = solve_in_basis(basis, vsub(vec(p), origin))

@@ -238,7 +238,7 @@ def dissection_from_json(doc: Any) -> Dissection:
         removed = _json_list(entry.get("removed", []), "'removed'")
         nfacets = len(cell_poly.facets)
         for i in removed:
-            if not isinstance(i, int) or not 0 <= i < nfacets:
+            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < nfacets:
                 raise InstanceError(f"removed facet index {i!r} out of range")
         cells.append(MixedCell(summands, cell_poly, frozenset(removed)))
     return Dissection(target, tuple(cells), opener=opener, factors=factors)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -28,7 +28,6 @@ from .counting import (
     relint_points,
 )
 from .dissections import (
-    Dissection,
     MixedCell,
     boxcell_census,
     boxcell_dissection,
@@ -59,9 +58,8 @@ from .geometry import (
     translate,
 )
 from .jsonio import dissection_from_json, dissection_to_json
-from .linalg import is_convex_combination, rank, vec, vsub
+from .linalg import is_convex_combination, vec, vsub
 from .positivity import (
-    candidate_segments,
     cylinder_lower_bound,
     decide_positive,
     direction_matroid,
@@ -69,7 +67,6 @@ from .positivity import (
     owner_matroid,
 )
 from .samplers import (
-    random_direction,
     random_lattice_box,
     random_lattice_polytope,
     random_lattice_simplex,
@@ -77,7 +74,6 @@ from .samplers import (
     random_rational_polytope,
 )
 from .valuations import (
-    Valuation,
     builtin_valuations,
     check_valuation,
     cm,

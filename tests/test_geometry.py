@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import given
 from mixedval import (
     EMPTY,
     DimensionMismatch,
+    Polytope,
     contains,
     convex_hull,
     cut_halfspace,
@@ -26,7 +28,7 @@ from mixedval import (
     translate,
 )
 from mixedval.geometry import solve_in_basis
-from mixedval.linalg import vadd
+from mixedval.linalg import dot, nullspace, primitive, rank, vadd, vec, vsub
 from mixedval.samplers import random_lattice_polytope, random_rational_polytope
 
 from .conftest import hull
@@ -135,6 +137,92 @@ def test_solve_in_basis_round_trip():
     assert coeffs == (F(3), F(2))
 
 
+def _brute_hull(points):
+    """Reference hull: (vertices, facets, tight sets) of conv(points).
+
+    Independent of the package's hull: every hyperplane of aff(points)
+    through k affinely independent points is tried in Fraction, in
+    ambient coordinates, and kept when all points lie on one side of it;
+    a vertex is a point whose tight normals have rank k.  Facets are
+    sorted (normal, offset) pairs with primitive normals in the linear
+    space of aff(points), and tight sets index the vertices.
+    """
+    pts = sorted({vec(p) for p in points})
+    d = len(pts[0])
+    diffs = [vsub(p, pts[0]) for p in pts[1:]]
+    k = rank(diffs)
+    if k == 0:
+        return tuple(pts), (), ()
+    equations = nullspace(diffs, ncols=d)
+    tight = {}
+    for combo in combinations(range(len(pts)), k):
+        base = pts[combo[0]]
+        ns = nullspace(equations + [vsub(pts[i], base) for i in combo[1:]], ncols=d)
+        if len(ns) != 1:
+            continue
+        a = primitive(ns[0])
+        values = [dot(a, p) for p in pts]
+        beta = values[combo[0]]
+        if min(values) == beta:
+            a, beta, values = tuple(-x for x in a), -beta, [-x for x in values]
+        if max(values) == beta:
+            tight[(a, beta)] = frozenset(i for i, x in enumerate(values) if x == beta)
+    normals = [[a for (a, _), t in tight.items() if i in t] for i in range(len(pts))]
+    chosen = [i for i, ns in enumerate(normals) if ns and rank([vec(a) for a in ns]) == k]
+    position = {i: n for n, i in enumerate(chosen)}
+    facets = sorted(tight)
+    tights = tuple(frozenset(position[i] for i in tight[f] if i in position) for f in facets)
+    return tuple(pts[i] for i in chosen), tuple(facets), tights
+
+
+def _assert_matches(P, reference, label):
+    verts, facets, tights = reference
+    assert P.vertices == verts, label
+    assert tuple((f.normal, f.offset) for f in P.facets) == facets, label
+    assert P.facet_tight_sets == tights, label
+
+
+def _reference_cases():
+    """Seeded point sets in dimensions 1..5: lattice, rational, with
+    interior, collinear and coplanar points (from a small grid), and
+    lower-dimensional ones (in an affine subspace of smaller dimension)."""
+    rng = random.Random(5150)
+    cases = []
+    for d in range(1, 6):
+        n = {1: 5, 2: 9, 3: 9, 4: 8, 5: 7}[d]
+        for _ in range(5):
+            cases.append((d, "lattice", [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)]))
+            cases.append((d, "rational", [
+                tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(d)) for _ in range(n)
+            ]))
+            cases.append((d, "grid", [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(n + 3)]))
+            if d > 1:
+                e = rng.randint(1, d - 1)
+                gens = [[F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(d)] for _ in range(e)]
+                o = [F(rng.randint(-2, 2), 3) for _ in range(d)]
+                pts = []
+                for _ in range(n):
+                    c = [rng.randint(-1, 2) for _ in range(e)]
+                    pts.append(tuple(o[j] + sum(ci * g[j] for ci, g in zip(c, gens)) for j in range(d)))
+                cases.append((d, "lower", pts))
+    return rng, cases
+
+
+def test_hull_matches_the_brute_force_reference():
+    rng, cases = _reference_cases()
+    for d, kind, pts in cases:
+        label = (d, kind, pts)
+        reference = _brute_hull(pts)
+        H = convex_hull(pts)
+        _assert_matches(H, reference, label)
+        # the raw constructor enumerates its facets on its own
+        _assert_matches(Polytope(d, H.vertices, H.lattice), reference, label)
+        if len(H.vertices) <= 6:
+            Q = convex_hull([rng.choice(pts), tuple(F(1, 2) for _ in range(d))])
+            sums = [vadd(p, q) for p in H.vertices for q in Q.vertices]
+            _assert_matches(minkowski_sum(H, Q), _brute_hull(sums), label)
+
+
 def _three_dimensional_sum_pairs():
     """Seeded summand pairs whose Minkowski sum is 3-dimensional."""
     rng = random.Random(4141)
@@ -158,19 +246,15 @@ def _three_dimensional_sum_pairs():
 
 
 def test_three_dimensional_sum_matches_hull_of_vertex_sums():
-    # Oracle: the brute-force hull of all pairwise vertex sums, whose
-    # facets come from hyperplane enumeration over point triples rather
-    # than from the summands' face directions.
+    # Oracle: the brute-force reference hull of all pairwise vertex sums.
     pairs = _three_dimensional_sum_pairs()
     assert any(not P.is_integral for P, _ in pairs["rational"])
     for kind, found in pairs.items():
         for P, Q in found:
             S = minkowski_sum(P, Q)
-            H = convex_hull([vadd(p, q) for p in P.vertices for q in Q.vertices])
             assert S.ambient_dim == (4 if kind == "ambient4" else 3)
-            assert S.vertices == H.vertices, (kind, P, Q)
-            assert S.facets == H.facets, (kind, P, Q)
-            assert S.facet_tight_sets == H.facet_tight_sets, (kind, P, Q)
+            sums = [vadd(p, q) for p in P.vertices for q in Q.vertices]
+            _assert_matches(S, _brute_hull(sums), (kind, P, Q))
 
 
 def test_scaled_sum_is_the_sum_of_dilates():

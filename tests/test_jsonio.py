@@ -156,6 +156,7 @@ def test_dissection_document_rejects_bad_removed_index():
         lambda d: d["cells"][0].pop("vertices"),
         lambda d: d["cells"][0].pop("summands"),
         lambda d: d["cells"][0].update(removed=3),
+        lambda d: d["cells"][0].update(removed=[True]),
         lambda d: d["cells"][0].update(summands=3),
         lambda d: d.update(cells=5),
         lambda d: d.update(opener=5),
