@@ -24,10 +24,9 @@ from typing import Callable, Iterator, Sequence
 from .geometry import (
     Polytope,
     _require_polytope,
-    dot_int,
     face_lattice,
 )
-from .linalg import vec
+from .linalg import dot, vec
 
 # (coefficients, rhs): sum a_i x_i <= b over the integers
 Constraint = tuple[tuple[int, ...], int]
@@ -54,10 +53,10 @@ class HalfOpenPolytope:
         p = vec(x)
         base = self.base
         for e, f in base.aff_equalities:
-            if dot_int(e, p) != f:
+            if dot(e, p) != f:
                 return False
         for i, fct in enumerate(base.facets):
-            v = dot_int(fct.normal, p)
+            v = dot(fct.normal, p)
             if i in self.removed:
                 if v >= fct.offset:
                     return False

@@ -28,20 +28,19 @@ from .geometry import (
     NotGeneric,
     Polytope,
     _common_ambient,
+    _integer_chart,
     _lattice_tag,
     _require_polytope,
     contains,
     convex_hull,
     dilate,
-    dot_int,
     hyperplane_section,
     minkowski_sum_all,
     placing_cells,
     scaled_sum,
-    solve_in_basis,
     translate,
 )
-from .linalg import feasible_nonneg, is_zero, vadd, vec, vsub
+from .linalg import dot, feasible_nonneg, is_zero, vadd, vec
 from .samplers import random_relint_point
 
 # -- half-open operators ------------------------------------------------------
@@ -58,11 +57,11 @@ def half_open_by_point(P: Polytope, q: Sequence) -> HalfOpenPolytope:
     if len(qv) != P.ambient_dim:
         raise DimensionMismatch("opening point has the wrong dimension")
     for e, f0 in P.aff_equalities:
-        if dot_int(e, qv) != f0:
+        if dot(e, qv) != f0:
             raise GeometryError("opening point must lie in the affine hull")
     removed = set()
     for i, f in enumerate(P.facets):
-        s = dot_int(f.normal, qv)
+        s = dot(f.normal, qv)
         if s == f.offset:
             raise NotGeneric("opening point lies on a facet hyperplane")
         if s > f.offset:
@@ -81,11 +80,11 @@ def half_open_by_direction(P: Polytope, u: Sequence) -> HalfOpenPolytope:
     if is_zero(uv):
         raise NotGeneric("direction must be nonzero")
     for e, _ in P.aff_equalities:
-        if dot_int(e, uv) != 0:
+        if dot(e, uv) != 0:
             raise NotGeneric("direction must be parallel to the affine hull")
     removed = set()
     for i, f in enumerate(P.facets):
-        s = dot_int(f.normal, uv)
+        s = dot(f.normal, uv)
         if s == 0:
             raise NotGeneric("direction is parallel to a facet hyperplane")
         if s > 0:
@@ -114,7 +113,7 @@ def direction_matching_point(P: Polytope, q: Sequence) -> tuple[int, ...]:
     rows = []
     for i, f in enumerate(facets):
         sigma = 1 if i in H.removed else -1
-        coeffs = [sigma * dot_int(f.normal, b) for b in basis]
+        coeffs = [sigma * dot(f.normal, b) for b in basis]
         rows.append(
             coeffs
             + [-c for c in coeffs]
@@ -143,7 +142,7 @@ def direction_matching_point(P: Polytope, q: Sequence) -> tuple[int, ...]:
 def _face_index(P: Polytope, a: tuple[int, ...]) -> int:
     """Index of the facet of P whose vertex set maximizes <a, .>; the
     maximizing face must actually be a facet."""
-    vals = [dot_int(a, v) for v in P.vertices]
+    vals = [dot(a, v) for v in P.vertices]
     mx = max(vals)
     tight = frozenset(t for t, v in enumerate(vals) if v == mx)
     idx = P.facet_by_tight_set.get(tight)
@@ -183,7 +182,7 @@ class MixedCell:
         for f in self.cell.facets:
             owner = None
             for j, R in enumerate(self.summands):
-                vals = [dot_int(f.normal, v) for v in R.vertices]
+                vals = [dot(f.normal, v) for v in R.vertices]
                 if min(vals) != max(vals):
                     if owner is not None:
                         raise InexactSum("facet attribution is ambiguous")
@@ -251,7 +250,7 @@ class Dissection:
 def _has_tie(cells: Sequence[MixedCell], q: Sequence[Fraction]) -> bool:
     for c in cells:
         for f in c.cell.facets:
-            if dot_int(f.normal, q) == f.offset:
+            if dot(f.normal, q) == f.offset:
                 return True
     return False
 
@@ -296,7 +295,7 @@ def open_dissection(
             frozenset(
                 i
                 for i, f in enumerate(c.cell.facets)
-                if dot_int(f.normal, qv) > f.offset
+                if dot(f.normal, qv) > f.offset
             )
         )
         for c in D.cells
@@ -521,7 +520,7 @@ def placing_triangulation(
     if sorted(idx) != list(range(nv)):
         raise ValueError("order must list every vertex index exactly once")
     cells = []
-    for c in placing_cells(P.local_vertices, idx):
+    for c in placing_cells(_integer_chart(P.vertices, P._chart)[1], idx):
         verts = tuple(sorted(P.vertices[t] for t in c))
         simplex = Polytope(P.ambient_dim, verts, _lattice_tag(verts, None))
         cells.append(MixedCell((simplex,), simplex))
@@ -638,13 +637,7 @@ def mixed_difference_certificate(
     pts = list(dict.fromkeys(inner_pts + _cayley_points(outer)))
 
     emb = convex_hull(pts)
-    origin, basis, _ = emb._chart
-    loc = []
-    for p in pts:
-        t = solve_in_basis(basis, vsub(vec(p), origin))
-        if t is None:
-            raise GeometryError("a Cayley point escapes the affine hull")
-        loc.append(t)
+    _, loc = _integer_chart(pts, emb._chart)
     index_cells = placing_cells(loc, list(range(len(pts))))
 
     cells = []

@@ -21,6 +21,10 @@ offsets go back to Fraction.  convex_hull runs it on its input, a
 Polytope built with the raw constructor runs it on its own vertices,
 and a Minkowski sum is the convex_hull of the vertex sums.
 
+Volume, too, is integer: placing_cells triangulates the same chart
+coordinates with integer side tests, and volume_in_chart divides the
+sum of the cells' Bareiss determinants by k! D^k in one Fraction.
+
 Scale expectations: ambient dimension <= 6, vertex counts in the tens.
 A hull of 30 random lattice points in Q^4 takes about 0.02 s (Intel
 Xeon, 2 vCPUs, Python 3.11.7).
@@ -40,12 +44,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import (
     Vec,
+    cofactor_normal,
+    det,
     dot,
     frac,
     integerize,
@@ -140,36 +146,12 @@ class Polytope:
         """(origin, basis rows, pivot columns), basis the row-reduced basis of lin(aff P)."""
         return _affine_chart(self.vertices)
 
-    def to_local(self, x: Sequence[Fraction]) -> Vec | None:
-        """Coordinates of x in the affine chart, or None if x is outside aff(P)."""
-        o, _, pivots = self._chart
-        x = vec(x)
-        v = vsub(x, o)
-        t = tuple(v[c] for c in pivots)
-        return t if self.from_local(t) == x else None
-
-    def from_local(self, t: Sequence[Fraction]) -> Point:
-        o, basis, _ = self._chart
-        x = o
-        for c, b in zip(t, basis, strict=True):
-            x = vadd(x, vscale(c, b))
-        return x
-
-    @cached_property
-    def local_vertices(self) -> tuple[Vec, ...]:
-        o, _, pivots = self._chart
-        return tuple(tuple(v[c] - o[c] for c in pivots) for v in self.vertices)
-
     @cached_property
     def aff_equalities(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Primitive integer pairs (e, f) with <e, x> = f on aff(P)."""
         o, basis, _ = self._chart
         normals = nullspace(basis, ncols=self.ambient_dim)
-        out = []
-        for c in normals:
-            e, f = integerize(c, dot(c, o))
-            out.append((e, f))
-        return tuple(sorted(out))
+        return tuple(sorted(integerize(c, dot(c, o)) for c in normals))
 
     @cached_property
     def is_integral(self) -> bool:
@@ -194,10 +176,12 @@ class Polytope:
         identity when P is full-dimensional.
         """
         _, basis, _ = self._chart
-        k = len(basis)
+        k, d = len(basis), self.ambient_dim
+        if k == d:
+            return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1
         gram = [[dot(bi, bj) for bj in basis] for bi in basis]
         inv = [solve(gram, [int(i == j) for i in range(k)]) for j in range(k)]
-        m = [[dot(w, [b[r] for b in basis]) for w in inv] for r in range(self.ambient_dim)]
+        m = [[dot(w, [b[r] for b in basis]) for w in inv] for r in range(d)]
         L = lcm(*(x.denominator for row in m for x in row))
         return tuple(tuple(int(x * L) for x in row) for row in m), L
 
@@ -269,12 +253,9 @@ class Polytope:
         if len(p) != self.ambient_dim:
             raise DimensionMismatch("point dimension does not match polytope")
         for e, f in self.aff_equalities:
-            if dot_int(e, p) != f:
+            if dot(e, p) != f:
                 return False
-        return all(dot_int(fct.normal, p) <= fct.offset for fct in self.facets)
-
-    def support(self, a: Sequence[Fraction]) -> Fraction:
-        return max(dot(a, v) for v in self.vertices)
+        return all(dot(fct.normal, p) <= fct.offset for fct in self.facets)
 
     @cached_property
     def vertex_centroid(self) -> Point:
@@ -295,17 +276,11 @@ class Polytope:
         return f"Polytope(dim={self.dim}, ambient={self.ambient_dim}, nverts={len(self.vertices)}, lattice={self.lattice})"
 
 
-def dot_int(a: Sequence[int], x: Sequence[Fraction]) -> Fraction:
-    return sum((ai * xi for ai, xi in zip(a, x, strict=True)), start=Fraction(0))
-
-
 def solve_in_basis(basis: Sequence[Vec], v: Vec) -> Vec | None:
     """Coefficients t with sum t_i basis_i = v, or None if v is outside the span."""
     if not basis:
         return () if is_zero(v) else None
-    d = len(v)
-    rows = [[basis[i][r] for i in range(len(basis))] for r in range(d)]
-    return solve(rows, v)
+    return solve([[b[r] for b in basis] for r in range(len(v))], v)
 
 
 def _prepopulate(
@@ -319,9 +294,22 @@ def _prepopulate(
 
 
 def _affine_chart(points: Sequence[Point]) -> tuple[Point, tuple[Vec, ...], tuple[int, ...]]:
-    """(points[0], basis, pivots): the row-reduced basis of the directions of aff(points)."""
+    """(points[0], basis, pivots): the row-reduced basis of the directions of aff(points).
+
+    Only the directions that integer elimination finds independent are
+    row-reduced: the reduced form depends on the span alone.
+    """
     o = points[0]
-    basis, pivots = rref([vsub(p, o) for p in points[1:]])
+    rows: list[tuple[int, list[int]]] = []
+    directions = []
+    for p in points[1:]:
+        if len(rows) == len(o):
+            break
+        v = vsub(p, o)
+        s = lcm(*(x.denominator for x in v))
+        if _extend(rows, [x.numerator * (s // x.denominator) for x in v]):
+            directions.append(v)
+    basis, pivots = rref(directions)
     return o, basis, pivots
 
 
@@ -340,19 +328,25 @@ def _integer_chart(
     return D, [tuple(x.numerator * (D // x.denominator) for x in t) for t in loc]
 
 
+def _extend(rows: list[tuple[int, list[int]]], v: Sequence[int]) -> bool:
+    """Reduce integer v fraction-free by the echelon rows, (pivot column,
+    row) pairs with pivots ascending; insert what is left as a primitive
+    row and return True, or return False if v is in their span."""
+    for c, r in rows:
+        if v[c]:
+            v = [r[c] * x - v[c] * y for x, y in zip(v, r)]
+    c = next((c for c, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    g = gcd(*v)
+    insort(rows, (c, [x // g for x in v]))
+    return True
+
+
 def _rank(vectors: Iterable[Sequence[int]]) -> int:
     """Rank of integer vectors, by fraction-free elimination."""
-    rows: list[tuple[int, list[int]]] = []  # (pivot column, row), pivots ascending
-    for v in vectors:
-        v = list(v)
-        for c, r in rows:
-            if v[c]:
-                v = [r[c] * x - v[c] * y for x, y in zip(v, r)]
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is not None:
-            g = gcd(*v)
-            insort(rows, (c, [x // g for x in v]))
-    return len(rows)
+    rows: list[tuple[int, list[int]]] = []
+    return sum(_extend(rows, v) for v in vectors)
 
 
 def _affine_rank(points: Sequence[Sequence[int]]) -> int:
@@ -384,7 +378,7 @@ def _hull(
     facets: list[tuple[tuple[int, ...], int, set[int]]] = []
     for i in simplex:
         on = [points[j] for j in simplex if j != i]
-        alpha = primitive(nullspace([vsub(q, on[0]) for q in on[1:]], ncols=k)[0])
+        alpha = primitive(cofactor_normal([vsub(q, on[0]) for q in on[1:]]))
         beta = sum(map(mul, alpha, on[0]))
         if sum(map(mul, alpha, points[i])) > beta:
             alpha, beta = tuple(-a for a in alpha), -beta
@@ -505,7 +499,7 @@ def translate(P: Polytope, t: Sequence) -> Polytope:
     Q = Polytope(P.ambient_dim, verts, tag)
     if "_facet_data" in P.__dict__:
         facets, tights = P._facet_data
-        moved = tuple(Facet(f.normal, f.offset + dot_int(f.normal, tv)) for f in facets)
+        moved = tuple(Facet(f.normal, f.offset + dot(f.normal, tv)) for f in facets)
         _prepopulate(Q, moved, tights)
     return Q
 
@@ -594,84 +588,67 @@ def contains(P: Polytope, Q: Polytope) -> bool:
 # -- triangulation and volume ---------------------------------------------------
 
 
-def placing_cells(loc: Sequence[Vec], order: Sequence[int]) -> list[tuple[int, ...]]:
+def placing_cells(loc: Sequence[Sequence], order: Sequence[int]) -> list[tuple[int, ...]]:
     """Placing triangulation of conv(loc), processing points in `order`.
 
     Returns top-dimensional simplices as index tuples.  Points inside
-    the hull of their predecessors contribute nothing.  Exact arithmetic
-    throughout; a point exactly on a boundary hyperplane is not beyond it.
-    """
-    cells: list[tuple[int, ...]] = []
-    basis: list[Vec] = []
-    origin: Vec | None = None
-    local: dict[int, Vec] = {}
-    hyperplane_cache: dict[frozenset[int], tuple[Vec, Fraction]] = {}
+    the hull of their predecessors contribute nothing; a point beyond a
+    boundary simplex lies strictly opposite its apex, not on it.
 
-    def relocalize(idx: int) -> None:
-        t = solve_in_basis(basis, vsub(loc[idx], origin))
-        assert t is not None
-        local[idx] = t
+    Integer contract: the int or Fraction points are scaled once by one
+    common denominator; all else is Python int.  The chart is the
+    projection onto the pivot columns of an integer echelon of the span,
+    injective there, and a hyperplane is a cofactor normal.
+    """
+    D = lcm(*(x.denominator for p in loc for x in p))
+    pts = [tuple(x.numerator * (D // x.denominator) for x in p) for p in loc]
+    cells: list[tuple[int, ...]] = []
+    rows: list[tuple[int, list[int]]] = []
+    origin: tuple[int, ...] | None = None
+    local: list[list[int]] = []
+    # per span: (k-1)-simplex -> (number of cells on it, apex in the first),
+    # and boundary simplex -> (normal, offset, side of its apex)
+    faces: dict[frozenset[int], tuple[int, int]] = {}
+    hyperplanes: dict[frozenset[int], tuple[tuple[int, ...], int, int]] = {}
+
+    def add_faces(new: list[tuple[int, ...]]) -> None:
+        for c in new:
+            for drop in range(len(c)):
+                f = frozenset(c[:drop] + c[drop + 1 :])
+                cnt, apex = faces.get(f, (0, c[drop]))
+                faces[f] = (cnt + 1, apex)
 
     for idx in order:
-        p = loc[idx]
+        p = pts[idx]
         if origin is None:
             origin = p
             cells = [(idx,)]
-            local[idx] = ()
             continue
-        t = solve_in_basis(basis, vsub(p, origin))
-        if t is None:
-            basis.append(vsub(p, origin))
-            hyperplane_cache.clear()
-            for j in list(local):
-                relocalize(j)
-            relocalize(idx)
+        if _extend(rows, [x - y for x, y in zip(p, origin)]):
+            local = [[q[c] for c, _ in rows] for q in pts]
             cells = [c + (idx,) for c in cells]
+            faces.clear()
+            hyperplanes.clear()
+            add_faces(cells)
             continue
-        local[idx] = t
-        k = len(basis)
-        if k == 0:
+        if not rows:
             continue  # duplicate of the first point
-        # boundary facets: (k-1)-simplices owned by exactly one cell
-        seen: dict[frozenset[int], tuple[int, int]] = {}
-        for c in cells:
-            for drop in range(len(c)):
-                f = frozenset(c[:drop] + c[drop + 1 :])
-                if f in seen:
-                    cnt, apex = seen[f]
-                    seen[f] = (cnt + 1, apex)
-                else:
-                    seen[f] = (1, c[drop])
         new_cells = []
-        for f, (cnt, apex) in seen.items():
+        for f, (cnt, apex) in faces.items():
             if cnt != 1:
-                continue
-            hp = hyperplane_cache.get(f)
+                continue  # not on the boundary
+            hp = hyperplanes.get(f)
             if hp is None:
-                pts = [local[i] for i in sorted(f)]
-                ns = nullspace([vsub(q, pts[0]) for q in pts[1:]], ncols=k)
-                assert len(ns) == 1
-                hp = (ns[0], dot(ns[0], pts[0]))
-                hyperplane_cache[f] = hp
-            alpha, beta = hp
-            s_apex = dot(alpha, local[apex])
-            s_new = dot(alpha, t)
-            if (s_apex < beta and s_new > beta) or (s_apex > beta and s_new < beta):
+                first, *rest = (local[i] for i in sorted(f))
+                alpha = cofactor_normal([[x - y for x, y in zip(q, first)] for q in rest])
+                beta = sum(map(mul, alpha, first))
+                hp = hyperplanes[f] = (alpha, beta, sum(map(mul, alpha, local[apex])) - beta)
+            alpha, beta, side = hp
+            if side * (sum(map(mul, alpha, local[idx])) - beta) < 0:
                 new_cells.append(tuple(sorted(f | {idx})))
         cells.extend(new_cells)
+        add_faces(new_cells)
     return cells
-
-
-def _simplex_volume(loc: Sequence[Vec], cell: Sequence[int]) -> Fraction:
-    from .linalg import det
-
-    k = len(cell) - 1
-    rows = [vsub(loc[i], loc[cell[0]]) for i in cell[1:]]
-    v = det(rows)
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
-    return abs(v) / f
 
 
 def exact_volume(P: Polytope) -> Fraction:
@@ -683,12 +660,16 @@ def exact_volume(P: Polytope) -> Fraction:
 
 
 def volume_in_chart(P: Polytope) -> Fraction:
-    """Volume of P measured in its own affine chart coordinates."""
-    if P.dim == 0:
+    """Volume of P in its chart: sum |det| over placing cells / (k! D^k)."""
+    k = P.dim
+    if k == 0:
         return Fraction(0)
-    loc = P.local_vertices
-    cells = placing_cells(loc, range(len(loc)))
-    return sum((_simplex_volume(loc, c) for c in cells), start=Fraction(0))
+    D, loc = _integer_chart(P.vertices, P._chart)
+    total = 0
+    for c in placing_cells(loc, range(len(loc))):
+        o = loc[c[0]]
+        total += abs(det([[x - y for x, y in zip(loc[i], o)] for i in c[1:]]))
+    return Fraction(total, factorial(k) * D**k)
 
 
 # -- faces ----------------------------------------------------------------------

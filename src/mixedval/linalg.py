@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on tuples of Fraction and never touches floats.
-Inputs are small (ambient dimension <= 6 at the outside), so plain
-Gaussian elimination is the right tool.
+Vectors are tuples of Fraction and nothing here touches floats.  Inputs
+are small (ambient dimension <= 6 at the outside), so plain Gaussian
+elimination is the right tool; det and cofactor_normal eliminate
+fraction-free, in Python int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -141,25 +142,47 @@ def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int | None = None) -> l
     return basis
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    work = [list(map(frac, r)) for r in rows]
-    sign = 1
-    result = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
+def det(rows: Sequence[Sequence]) -> int | Fraction:
+    """Determinant by fraction-free Bareiss elimination (Math. Comp. 22, 1968):
+    int rows give an int, all exact divisions in Python int; Fraction rows
+    are scaled to int once each and the result divided back at the end."""
+    work, scale = [], 1
+    for r in rows:
+        s = lcm(*(x.denominator for x in r))
+        work.append([x.numerator * (s // x.denominator) for x in r])
+        scale *= s
+    value = _bareiss(work)
+    return value if scale == 1 else Fraction(value, scale)
+
+
+def _bareiss(work: list[list[int]]) -> int:
+    """Determinant of a square int matrix, overwritten by the elimination."""
+    n = len(work)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if not work[c][c]:
+            pr = next((i for i in range(c + 1, n) if work[i][c]), None)
+            if pr is None:
+                return 0
             work[c], work[pr] = work[pr], work[c]
             sign = -sign
-        result *= work[c][c]
-        inv = ONE / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return sign * result
+        top = work[c]
+        p = top[c]
+        for row in work[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return sign * work[-1][-1] if n else 1
+
+
+def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The integer c with <c, x> = det(rows + [x]) for all x: k-1 rows of
+    length k give a c that is nonzero exactly when they are independent."""
+    k = len(rows) + 1
+    return tuple(
+        (-1) ** (k - 1 + j) * _bareiss([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(k)
+    )
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
@@ -167,14 +190,10 @@ def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
 
     The direction (sign) is preserved.
     """
-    denoms = [frac(x).denominator for x in v]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(frac(x) * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    v = [frac(x) for x in v]
+    s = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (s // x.denominator) for x in v]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)

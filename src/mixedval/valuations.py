@@ -23,7 +23,6 @@ from .geometry import (
     Polytope,
     cut_halfspace,
     dilate,
-    dot_int,
     exact_volume,
     face_lattice,
     hyperplane_section,
@@ -34,7 +33,7 @@ from .geometry import (
     _common_ambient,
     _require_polytope,
 )
-from .linalg import frac, solve
+from .linalg import dot, frac, solve
 from .samplers import (
     random_direction,
     random_lattice_box,
@@ -417,7 +416,7 @@ def _generic_split(rng: random.Random, ambient_dim: int):
         if P.dim == 0:
             continue
         a = random_direction(rng, ambient_dim, bound=4)
-        vals = [dot_int(a, v) for v in P.vertices]
+        vals = [dot(a, v) for v in P.vertices]
         m, M = min(vals), max(vals)
         if m == M:
             continue

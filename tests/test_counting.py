@@ -17,7 +17,7 @@ from mixedval import (
     translate,
 )
 from mixedval.dissections import half_open_by_point
-from mixedval.geometry import dot_int
+from mixedval.linalg import dot
 
 from .conftest import hull
 from .strategies import lattice_polytopes
@@ -101,7 +101,7 @@ def test_half_open_count_never_exceeds_closed(P):
 @given(lattice_polytopes(dim=2))
 def test_relint_points_lie_inside(P):
     strict = [
-        q for q in lattice_points(P) if all(dot_int(f.normal, q) < f.offset for f in P.facets)
+        q for q in lattice_points(P) if all(dot(f.normal, q) < f.offset for f in P.facets)
     ]
     assert relint_points(P) == strict
     assert count_relint_points(P) == len(strict)
