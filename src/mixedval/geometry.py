@@ -14,12 +14,12 @@ Conventions:
 
 One routine, _hull, finds the vertices, the facets and their tight sets
 of every polytope in every dimension, by beneath-beyond.  It runs in
-Python int: the points are written in the affine chart whose basis is
-the row-reduced basis of their directions, where local coordinates are
-pivot entries, and scaled by one common denominator D; only the facet
-offsets go back to Fraction.  convex_hull runs it on its input, a
-Polytope built with the raw constructor runs it on its own vertices,
-and a Minkowski sum is the convex_hull of the vertex sums.
+Python int on the points scaled by one common denominator D, in the
+affine chart whose basis is the row-reduced basis of their directions,
+where local coordinates are pivot entries; only the vertices and the
+facet offsets go back to Fraction.  convex_hull runs it on its input and
+a raw-constructed Polytope on its own vertices; a Minkowski sum scales
+both summands by one D and hulls the distinct int vertex sums.
 
 Volume, too, is integer: placing_cells triangulates the same chart
 coordinates with integer side tests, and volume_in_chart divides the
@@ -39,13 +39,12 @@ the self-checks that test the sum algebra call it directly.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -53,14 +52,19 @@ from .linalg import (
     cofactor_normal,
     det,
     dot,
+    extend_echelon,
     frac,
+    int_row,
     integerize,
     is_zero,
     nullspace,
     primitive,
     primitive_signless,
+    rank,
+    reduced_echelon,
     rref,
     solve,
+    span_key,
     vec,
     vadd,
     vscale,
@@ -144,7 +148,7 @@ class Polytope:
     @cached_property
     def _chart(self) -> tuple[Point, tuple[Vec, ...], tuple[int, ...]]:
         """(origin, basis rows, pivot columns), basis the row-reduced basis of lin(aff P)."""
-        return _affine_chart(self.vertices)
+        return (self.vertices[0], *_span_basis(_scaled(self.vertices)[1]))
 
     @cached_property
     def aff_equalities(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
@@ -173,26 +177,30 @@ class Polytope:
 
         The lift of alpha is the a in lin(aff P) with <a, b_i> = alpha_i
         for every basis row b_i, that is B^T (B B^T)^-1 alpha; M is the
-        identity when P is full-dimensional.
+        identity when P is full-dimensional.  The int rows C = S B (S the
+        diagonal of their pivot entries) give B^T (B B^T)^-1 = C^T G^-1 S
+        with G = C C^T, and one elimination of [G | I] reduces its rows to
+        (p_i e_i | p_i (G^-1)_i).
         """
-        _, basis, _ = self._chart
+        _, basis, pivots = self._chart
         k, d = len(basis), self.ambient_dim
         if k == d:
             return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1
-        gram = [[dot(bi, bj) for bj in basis] for bi in basis]
-        inv = [solve(gram, [int(i == j) for i in range(k)]) for j in range(k)]
-        m = [[dot(w, [b[r] for b in basis]) for w in inv] for r in range(d)]
-        L = lcm(*(x.denominator for row in m for x in row))
-        return tuple(tuple(int(x * L) for x in row) for row in m), L
+        C = [int_row(b) for b in basis]
+        eye = [[int(i == j) for j in range(k)] for i in range(k)]
+        inv = reduced_echelon([sum(map(mul, a, b)) for b in C] + e for a, e in zip(C, eye))
+        L = lcm(*(r[c] for c, r in inv))
+        W = [[x * (L // r[c]) * C[j][pivots[j]] for j, x in enumerate(r[k:])] for c, r in inv]
+        m = [[sum(c[col] * w[j] for c, w in zip(C, W)) for j in range(k)] for col in range(d)]
+        g = gcd(L, *(x for row in m for x in row))
+        return tuple(tuple(x // g for x in row) for row in m), L // g
 
     def _assemble_facets(
         self, chart_facets: Iterable[tuple[tuple[int, ...], int, frozenset[int]]], D: int
     ) -> tuple[tuple[Facet, ...], tuple[frozenset[int], ...]]:
         """Sorted ambient facets and their tight sets from facets
         <alpha, u> <= beta of the integer chart scaled by D."""
-        o, _, _ = self._chart
-        E = lcm(*(x.denominator for x in o))
-        oe = [x.numerator * (E // x.denominator) for x in o]
+        E, (oe,) = _scaled([self._chart[0]])
         M, L = self._lift
         out = []
         for alpha, beta, tight in chart_facets:
@@ -234,7 +242,7 @@ class Polytope:
             common = [f for f, t in enumerate(tights) if i in t and j in t]
             if not common:
                 continue
-            if _rank([facets[f].normal for f in common]) == k - 1:
+            if rank([facets[f].normal for f in common]) == k - 1:
                 out.append((i, j))
         return tuple(out)
 
@@ -245,6 +253,19 @@ class Polytope:
             for i, j in self.edges
         }
         return tuple(sorted(dirs))
+
+    @cached_property
+    def simplex_spans(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """Distinct direction spans of simplices on the vertices, dim >= 1, as
+        (dimension, span_key) pairs, largest first, found on the int-scaled vertices."""
+        _, pts = _scaled(self.vertices)
+        found: dict[tuple[tuple[int, ...], ...], int] = {}
+        for k in range(1, self.dim + 1):
+            for sub in combinations(pts, k + 1):
+                key = span_key([[x - y for x, y in zip(p, sub[0])] for p in sub[1:]])
+                if len(key) == k:
+                    found.setdefault(key, k)
+        return tuple(sorted(((k, key) for key, k in found.items()), key=lambda t: -t[0]))
 
     # -- predicates ----------------------------------------------------------
 
@@ -293,60 +314,31 @@ def _prepopulate(
 # -- hull construction -------------------------------------------------------
 
 
-def _affine_chart(points: Sequence[Point]) -> tuple[Point, tuple[Vec, ...], tuple[int, ...]]:
-    """(points[0], basis, pivots): the row-reduced basis of the directions of aff(points).
+def _scaled(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, the points times D) for the common denominator D of the points."""
+    D = lcm(*(x.denominator for p in points for x in p))
+    return D, [tuple(x.numerator * (D // x.denominator) for x in p) for p in points]
 
-    Only the directions that integer elimination finds independent are
-    row-reduced: the reduced form depends on the span alone.
-    """
+
+def _span_basis(points: Sequence[Sequence[int]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """The row-reduced basis of the directions of aff(int points), and its
+    pivots, from the echelon of the directions that leave the span."""
     o = points[0]
     rows: list[tuple[int, list[int]]] = []
-    directions = []
     for p in points[1:]:
         if len(rows) == len(o):
             break
-        v = vsub(p, o)
-        s = lcm(*(x.denominator for x in v))
-        if _extend(rows, [x.numerator * (s // x.denominator) for x in v]):
-            directions.append(v)
-    basis, pivots = rref(directions)
-    return o, basis, pivots
+        extend_echelon(rows, [x - y for x, y in zip(p, o)])
+    return rref(r for _, r in rows)
 
 
 def _integer_chart(
     points: Sequence[Point], chart: tuple[Point, tuple[Vec, ...], tuple[int, ...]]
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """(D, coordinates): the points in the chart, scaled by one common denominator D.
-
-    In a row-reduced basis the local coordinates of a vector in the span
-    are its pivot entries, so no system is solved; D clears all their
-    denominators at once.
-    """
+    """(D, coordinates): the points in the chart, scaled by one common
+    denominator D; local coordinates in a row-reduced basis are pivot entries."""
     o, _, pivots = chart
-    loc = [[p[c] - o[c] for c in pivots] for p in points]
-    D = lcm(*(x.denominator for t in loc for x in t))
-    return D, [tuple(x.numerator * (D // x.denominator) for x in t) for t in loc]
-
-
-def _extend(rows: list[tuple[int, list[int]]], v: Sequence[int]) -> bool:
-    """Reduce integer v fraction-free by the echelon rows, (pivot column,
-    row) pairs with pivots ascending; insert what is left as a primitive
-    row and return True, or return False if v is in their span."""
-    for c, r in rows:
-        if v[c]:
-            v = [r[c] * x - v[c] * y for x, y in zip(v, r)]
-    c = next((c for c, x in enumerate(v) if x), None)
-    if c is None:
-        return False
-    g = gcd(*v)
-    insort(rows, (c, [x // g for x in v]))
-    return True
-
-
-def _rank(vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of integer vectors, by fraction-free elimination."""
-    rows: list[tuple[int, list[int]]] = []
-    return sum(_extend(rows, v) for v in vectors)
+    return _scaled([[p[c] - o[c] for c in pivots] for p in points])
 
 
 def _affine_rank(points: Sequence[Sequence[int]]) -> int:
@@ -354,7 +346,8 @@ def _affine_rank(points: Sequence[Sequence[int]]) -> int:
     if not points:
         return -1
     o = points[0]
-    return _rank([[x - y for x, y in zip(p, o)] for p in points[1:]])
+    rows: list[tuple[int, list[int]]] = []
+    return sum(extend_echelon(rows, [x - y for x, y in zip(p, o)]) for p in points[1:])
 
 
 def _hull(
@@ -417,7 +410,7 @@ def _hull(
     for alpha, _, tight in facets:
         for i in tight:
             normals.setdefault(i, []).append(alpha)
-    vertices = sorted(i for i, ns in normals.items() if len(ns) >= k and _rank(ns) == k)
+    vertices = sorted(i for i, ns in normals.items() if len(ns) >= k and rank(ns) == k)
     return vertices, [(alpha, beta, frozenset(tight)) for alpha, beta, tight in facets]
 
 
@@ -433,12 +426,7 @@ def _lattice_tag(pts: Sequence[Point], requested: str | None) -> str:
 
 
 def convex_hull(points: Iterable[Sequence], lattice: str | None = None):
-    """Polytope with the extreme points of `points`, or EMPTY for no input.
-
-    One beneath-beyond pass over the points in integer chart coordinates
-    (_hull) gives the vertices, the facets and their tight sets; facets
-    are filled in from the same pass.
-    """
+    """Polytope with the extreme points of `points`, or EMPTY for no input."""
     pts = sorted({vec(p) for p in points})
     if not pts:
         return EMPTY
@@ -447,18 +435,27 @@ def convex_hull(points: Iterable[Sequence], lattice: str | None = None):
         raise DimensionMismatch("ambient dimension must be positive")
     if any(len(p) != d for p in pts):
         raise DimensionMismatch("mixed ambient dimensions in hull input")
+    return _hull_polytope(*_scaled(pts), lattice)
 
-    chart = _affine_chart(pts)
-    k = len(chart[2])
-    if k == 0:
-        return Polytope(d, (pts[0],), _lattice_tag(pts[:1], lattice))
-    D, loc = _integer_chart(pts, chart)
-    chosen, facets = _hull(loc, k)
-    verts = tuple(pts[i] for i in chosen)
-    P = Polytope(d, verts, _lattice_tag(verts, lattice))
-    # pts[0] is the least point, hence P's first vertex, and the row-reduced
-    # basis depends on the span alone: P's own chart is this one
-    P.__dict__["_chart"] = chart
+
+def _hull_polytope(D: int, points: Sequence[tuple[int, ...]], lattice: str | None) -> Polytope:
+    """The polytope conv(points) / D of distinct int points in sorted order.
+
+    One beneath-beyond pass over the points in integer chart coordinates
+    (_hull) gives the vertices, the facets and their tight sets; facets
+    are filled in from the same pass, and Fraction is built only for the
+    vertices.
+    """
+    basis, pivots = _span_basis(points)
+    k = len(pivots)
+    o = points[0]
+    loc = [tuple(p[c] - o[c] for c in pivots) for p in points]
+    chosen, facets = _hull(loc, k) if k else ([0], [])
+    verts = tuple(tuple(Fraction(x, D) for x in points[i]) for i in chosen)
+    P = Polytope(len(o), verts, _lattice_tag(verts, lattice))
+    # points[0] is the least point, hence P's first vertex, and the
+    # row-reduced basis depends on the span alone: P's own chart is this one
+    P.__dict__["_chart"] = (verts[0], basis, pivots)
     position = {i: n for n, i in enumerate(chosen)}
     on_vertices = [
         (alpha, beta, frozenset(position[i] for i in tight if i in position))
@@ -533,14 +530,19 @@ def dilate(P: Polytope, n: int) -> Polytope:
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
-    """The Minkowski sum P + Q: convex_hull of the vertex sums.
+    """The Minkowski sum P + Q: the hull of the vertex sums.
 
-    Exact for lattice and rational summands in every dimension.
+    Exact for lattice and rational summands in every dimension.  Both
+    summands are scaled by one common denominator D, and the distinct
+    int vertex sums are hulled as they are; D > 0 keeps their order.
     """
     P, Q = _require_polytope(P), _require_polytope(Q)
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("summands live in different ambient spaces")
-    return convex_hull(vadd(p, q) for p in P.vertices for q in Q.vertices)
+    D, ints = _scaled(P.vertices + Q.vertices)
+    n = len(P.vertices)
+    sums = sorted({tuple(map(add, p, q)) for p in ints[:n] for q in ints[n:]})
+    return _hull_polytope(D, sums, None)
 
 
 _cached_sum = lru_cache(maxsize=1 << 16)(minkowski_sum)
@@ -600,8 +602,7 @@ def placing_cells(loc: Sequence[Sequence], order: Sequence[int]) -> list[tuple[i
     projection onto the pivot columns of an integer echelon of the span,
     injective there, and a hyperplane is a cofactor normal.
     """
-    D = lcm(*(x.denominator for p in loc for x in p))
-    pts = [tuple(x.numerator * (D // x.denominator) for x in p) for p in loc]
+    _, pts = _scaled(loc)
     cells: list[tuple[int, ...]] = []
     rows: list[tuple[int, list[int]]] = []
     origin: tuple[int, ...] | None = None
@@ -624,7 +625,7 @@ def placing_cells(loc: Sequence[Sequence], order: Sequence[int]) -> list[tuple[i
             origin = p
             cells = [(idx,)]
             continue
-        if _extend(rows, [x - y for x, y in zip(p, origin)]):
+        if extend_echelon(rows, [x - y for x, y in zip(p, origin)]):
             local = [[q[c] for c, _ in rows] for q in pts]
             cells = [c + (idx,) for c in cells]
             faces.clear()

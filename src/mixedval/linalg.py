@@ -1,18 +1,22 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, integer first.
 
-Vectors are tuples of Fraction and nothing here touches floats.  Inputs
-are small (ambient dimension <= 6 at the outside), so plain Gaussian
-elimination is the right tool; det and cofactor_normal eliminate
-fraction-free, in Python int.
+Vectors at the interface are tuples of Fraction; no floats anywhere.
+Every elimination is fraction-free in Python int (Bareiss, Math. Comp.
+22, 1968): a rational row is cleared of denominators once, and Fraction
+is built only for returned values.  The one echelon is a list of (pivot
+column, primitive int row with a positive pivot) pairs, grown by
+extend_echelon; rank, rref, span_key, solve and nullspace read it off.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+Echelon = list[tuple[int, list[int]]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,93 +55,112 @@ def is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place row echelon form; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def int_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators: a positive multiple in int."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    row = [frac(x) for x in row]
+    s = lcm(*(x.denominator for x in row))
+    return [x.numerator * (s // x.denominator) for x in row]
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped.
+def int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+    """int_row of each row; rows of unequal length are rejected."""
+    out = [int_row(r) for r in rows]
+    if any(len(r) != len(out[0]) for r in out):
+        raise ValueError("rows of unequal length")
+    return out
+
+
+def extend_echelon(rows: Echelon, v: Sequence[int]) -> bool:
+    """Reduce int v fraction-free by the echelon rows; insert what is left
+    as a primitive row with a positive pivot and return True, or return
+    False if v is in their span.  Pivots stay ascending."""
+    for c, r in rows:
+        if v[c]:
+            v = [r[c] * x - v[c] * y for x, y in zip(v, r)]
+    c = next((c for c, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    g = gcd(*v) if v[c] > 0 else -gcd(*v)
+    insort(rows, (c, [x // g for x in v]))
+    return True
+
+
+def reduced_echelon(rows: Iterable[Sequence]) -> Echelon:
+    """The echelon of the rows with full back-substitution: every row is
+    zero in the other pivot columns, so each row is the primitive positive
+    multiple of a row of the reduced row echelon form, and canonical."""
+    ech: Echelon = []
+    for v in int_rows(rows):
+        extend_echelon(ech, v)
+    for i in range(len(ech) - 1, 0, -1):
+        c, r = ech[i]
+        for j, (cj, s) in enumerate(ech[:i]):
+            if s[c]:
+                s = [r[c] * x - s[c] * y for x, y in zip(s, r)]
+                g = gcd(*s)
+                ech[j] = (cj, [x // g for x in s])
+    return ech
+
+
+def rref(rows: Iterable[Sequence]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Reduced row echelon form with zero rows dropped, and its pivots.
 
     The result is a canonical basis of the row space, usable as a
     hashable key for comparing linear spans.
     """
-    work = [list(r) for r in rows]
-    work, pivots = _echelon(work)
-    kept = tuple(tuple(r) for r in work[: len(pivots)])
-    return kept, tuple(pivots)
+    ech = reduced_echelon(rows)
+    # the shared ZERO and ONE: a chart basis lives as long as its polytope
+    basis = tuple(
+        tuple(ZERO if not x else ONE if x == r[c] else Fraction(x, r[c]) for x in r) for c, r in ech
+    )
+    return basis, tuple(c for c, _ in ech)
 
 
-def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+def rank(rows: Iterable[Sequence]) -> int:
+    ech: Echelon = []
+    return sum(extend_echelon(ech, v) for v in int_rows(rows))
 
 
-def span_key(rows: Iterable[Sequence[Fraction]]) -> tuple[Vec, ...]:
+def span_key(rows: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
     """Canonical hashable representation of the linear span of `rows`."""
-    return rref(rows)[0]
+    return tuple(tuple(r) for _, r in reduced_echelon(rows))
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     """One exact solution of A x = b, or None if inconsistent.
 
     Free variables are set to zero.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return ()
     n = len(rows[0])
-    aug = [list(rows[i]) + [frac(rhs[i])] for i in range(m)]
-    aug, pivots = _echelon(aug)
-    if n in pivots:  # pivot in the rhs column: inconsistent
+    ech = reduced_echelon([*r, b] for r, b in zip(rows, rhs, strict=True))
+    if ech and ech[-1][0] == n:  # pivot in the rhs column: inconsistent
         return None
     x = [ZERO] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
+    for c, r in ech:
+        x[c] = Fraction(r[n], r[c])
     return tuple(x)
 
 
-def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
+def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> list[Vec]:
     """Basis of {x : A x = 0}.
 
     `ncols` is required when `rows` may be empty (the nullspace is then
     all of the ambient space).
     """
-    work = [list(r) for r in rows]
-    if not work:
-        if ncols is None:
-            raise ValueError("ncols required for an empty row list")
-        return [tuple(ONE if j == i else ZERO for j in range(ncols)) for i in range(ncols)]
-    n = len(work[0])
-    work, pivots = _echelon(work)
+    work = list(rows)
+    if not work and ncols is None:
+        raise ValueError("ncols required for an empty row list")
+    n = len(work[0]) if work else ncols
+    ech = dict(reduced_echelon(work))
     basis: list[Vec] = []
-    pivot_set = set(pivots)
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * n
-        v[free] = ONE
-        for i, c in enumerate(pivots):
-            v[c] = -work[i][free]
+    for free in (f for f in range(n) if f not in ech):
+        v = [ONE if j == free else ZERO for j in range(n)]
+        for c, r in ech.items():
+            v[c] = Fraction(-r[free], r[c])
         basis.append(tuple(v))
     return basis
 
@@ -185,14 +208,12 @@ def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     )
 
 
-def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
+def primitive(v: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 
     The direction (sign) is preserved.
     """
-    v = [frac(x) for x in v]
-    s = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (s // x.denominator) for x in v]
+    ints = int_row(v)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")

@@ -20,15 +20,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .geometry import (
-    LatticeMismatch,
-    Polytope,
-    _require_polytope,
-)
-from .linalg import Vec, primitive, rank, span_key, vec, vsub
+from .geometry import LatticeMismatch, Polytope, _common_ambient, _require_polytope
+from .linalg import extend_echelon, int_rows, primitive
 from .valuations import Valuation, cm
 
 __all__ = [
@@ -72,7 +67,7 @@ class Segment:
     def between(cls, owner: int, a: Sequence[int], b: Sequence[int]) -> "Segment":
         start = tuple(int(x) for x in a)
         end = tuple(int(x) for x in b)
-        return cls(owner, (start, end), primitive(vsub(vec(end), vec(start))))
+        return cls(owner, (start, end), primitive([y - x for x, y in zip(start, end, strict=True)]))
 
 
 def candidate_segments(polys: Sequence[Polytope]) -> list[Segment]:
@@ -112,12 +107,12 @@ class MatroidOracle:
 
 def direction_matroid(directions: Sequence[Sequence]) -> MatroidOracle:
     """Linear matroid on vectors: independent means full rational rank."""
-    rows = [vec(d) for d in directions]
+    rows = int_rows(directions)
 
     @lru_cache(maxsize=1 << 14)
     def indep(subset: frozenset[int]) -> bool:
-        chosen = [rows[i] for i in subset]
-        return rank(chosen) == len(chosen)
+        echelon: list[tuple[int, list[int]]] = []
+        return all(extend_echelon(echelon, rows[i]) for i in subset)
 
     return MatroidOracle(len(rows), indep)
 
@@ -208,7 +203,7 @@ def positivity_witness(polys: Sequence[Polytope]) -> tuple[Segment, ...] | None:
     """
     polys = [_require_polytope(P) for P in polys]
     r = len(polys)
-    if r and r > polys[0].ambient_dim:
+    if r and r > _common_ambient(polys):
         return None
     segments = candidate_segments(polys)
     m1 = direction_matroid([s.direction for s in segments])
@@ -234,25 +229,6 @@ def decide_positive(
     return positivity_witness(polys) is not None
 
 
-def _simplex_spans(P: Polytope) -> list[tuple[int, tuple[Vec, ...]]]:
-    """Distinct direction spans of simplices on P's vertices, dim >= 1.
-
-    Returned as (dimension, canonical basis) pairs, largest first.  Two
-    simplices with the same span are interchangeable for the lower
-    bound, so only one representative per span is kept.
-    """
-    verts = P.vertices
-    found: dict[tuple[Vec, ...], int] = {}
-    for k in range(1, P.dim + 1):
-        for sub in combinations(range(len(verts)), k + 1):
-            origin = verts[sub[0]]
-            rows = [vsub(verts[j], origin) for j in sub[1:]]
-            if rank(rows) != k:
-                continue
-            found.setdefault(span_key(rows), k)
-    return sorted(((k, basis) for basis, k in found.items()), key=lambda t: -t[0])
-
-
 def cylinder_lower_bound(polys: Sequence[Polytope]) -> int:
     """Largest product of simplex dimensions over exact sub-sums.
 
@@ -262,17 +238,18 @@ def cylinder_lower_bound(polys: Sequence[Polytope]) -> int:
     product of the dimensions.  The mixed lattice-point count of the
     tuple is at least the returned value.  Zero means no such choice
     exists, and by the segment criterion the mixed count is then zero
-    as well.
+    as well.  Simplices with one span are interchangeable here, so each
+    polytope offers one per span (Polytope.simplex_spans).
     """
     polys = [_require_polytope(P) for P in polys]
     r = len(polys)
     if r == 0:
         return 1
-    d = polys[0].ambient_dim
+    d = _common_ambient(polys)
     for P in polys:
         if not P.is_integral:
             raise LatticeMismatch("the lower bound is about lattice polytopes")
-    candidates = [_simplex_spans(P) for P in polys]
+    candidates = [P.simplex_spans for P in polys]
     if any(not c for c in candidates):
         return 0
     suffix = [1] * (r + 1)
@@ -280,20 +257,19 @@ def cylinder_lower_bound(polys: Sequence[Polytope]) -> int:
         suffix[i] = suffix[i + 1] * candidates[i][0][0]
     best = 0
 
-    def search(i: int, rows: list[Vec], prod: int) -> None:
+    def search(i: int, echelon: list[tuple[int, list[int]]], prod: int) -> None:
         nonlocal best
         if i == r:
             best = max(best, prod)
             return
         if prod * suffix[i] <= best:
             return
-        used = len(rows)
         for k, basis in candidates[i]:
-            if used + k > d:
+            if len(echelon) + k > d:
                 continue
-            stacked = rows + list(basis)
-            if rank(stacked) == used + k:
-                search(i + 1, stacked, prod * k)
+            branch = list(echelon)
+            if all(extend_echelon(branch, row) for row in basis):
+                search(i + 1, branch, prod * k)
 
     search(0, [], 1)
     return best

@@ -33,7 +33,7 @@ from .geometry import (
     _common_ambient,
     _require_polytope,
 )
-from .linalg import dot, frac, solve
+from .linalg import dot, frac
 from .samplers import (
     random_direction,
     random_lattice_box,
@@ -304,21 +304,21 @@ class HStarVector:
 
 
 def h_star_vector(phi: Valuation, P: Polytope) -> HStarVector:
-    """Solve for the h-vector of phi on dilates of P, r = dim P.
+    """The h-vector of phi on dilates of P, r = dim P.
 
-    Uses the exact (r+1) x (r+1) linear system from phi(0P), ..., phi(rP)
-    and verifies the fit at n = r + 1.
+    The system phi(nP) = sum_i h_i binom(n + r - i, r), n = 0..r, is
+    lower unitriangular, and its inverse is read off the generating
+    function sum_n phi(nP) t^n = h(t) / (1 - t)^(r+1):
+    h_i = sum_{j <= i} (-1)^j binom(r + 1, j) phi((i - j) P).  The fit is
+    verified at n = r + 1.
     """
     P = _require_polytope(P)
     r = P.dim
     vals = [phi(dilate(P, n)) for n in range(r + 2)]
-    rows = [
-        [Fraction(math.comb(n + r - i, r)) for i in range(r + 1)]
-        for n in range(r + 1)
-    ]
-    sol = solve(rows, vals[: r + 1])
-    assert sol is not None  # binomial basis matrix is unimodular
-    h = HStarVector(tuple(sol))
+    h = HStarVector(tuple(
+        sum(((-1) ** j * math.comb(r + 1, j) * vals[i - j] for j in range(i + 1)), Fraction(0))
+        for i in range(r + 1)
+    ))
     if h.evaluate(r + 1) != vals[r + 1]:
         raise ReconstructionError(
             f"{phi.name} on dilates of this polytope is not a degree-{r} "

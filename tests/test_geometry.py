@@ -28,10 +28,11 @@ from mixedval import (
     translate,
 )
 from mixedval.geometry import solve_in_basis
-from mixedval.linalg import dot, nullspace, primitive, rank, vadd, vec, vsub
+from mixedval.linalg import dot, primitive, vadd, vec, vsub
 from mixedval.samplers import random_lattice_polytope, random_rational_polytope
 
 from .conftest import hull
+from .fraction_linalg import nullspace, rank
 from .strategies import lattice_polytopes
 
 F = Fraction

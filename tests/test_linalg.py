@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +15,8 @@ from mixedval.linalg import (
     integerize,
     is_convex_combination,
     is_zero,
+    ONE,
+    ZERO,
     nullspace,
     primitive,
     primitive_signless,
@@ -25,6 +29,8 @@ from mixedval.linalg import (
     vscale,
     vsub,
 )
+
+from . import fraction_linalg as ref
 
 F = Fraction
 
@@ -142,3 +148,86 @@ def test_solve_result_satisfies_system(rows):
     assert x is not None
     for row, b in zip(rows, rhs):
         assert dot(row, x) == b
+
+
+def _matrices():
+    """Seeded matrices: int, rational and mixed entries; zero, duplicate
+    and dependent rows; wide, tall, square and empty shapes."""
+    rng = random.Random(8181)
+    entry = {
+        "int": lambda: rng.randint(-4, 4),
+        "rational": lambda: F(rng.randint(-6, 6), rng.randint(1, 5)),
+        "mixed": lambda: rng.choice([rng.randint(-3, 3), F(rng.randint(-6, 6), rng.randint(1, 4))]),
+    }
+    for t in range(1500):
+        kind = ("int", "rational", "mixed")[t % 3]
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        rows = [[entry[kind]() for _ in range(n)] for _ in range(m)]
+        if m >= 1 and rng.random() < 0.3:
+            rows[rng.randrange(m)] = [0] * n
+        if m >= 2 and rng.random() < 0.3:
+            i, j = rng.sample(range(m), 2)
+            rows[i] = [rng.choice([1, -2, F(1, 3)]) * x for x in rows[j]]
+        if m >= 3 and rng.random() < 0.3:
+            i, j, k = rng.sample(range(m), 3)
+            a, b = rng.randint(-2, 2), F(rng.randint(-3, 3), 2)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        yield kind, rows, n, rng
+
+
+def test_elimination_matches_the_fraction_reference():
+    shapes = {"empty": 0, "wide": 0, "tall": 0, "square": 0}
+    kinds = {}
+    singular = 0
+    for kind, rows, n, rng in _matrices():
+        kinds[kind] = kinds.get(kind, 0) + 1
+        m = len(rows)
+        shapes["empty" if not m else "wide" if m < n else "tall" if m > n else "square"] += 1
+        basis, pivots = ref.rref(rows)
+        singular += len(pivots) < m
+        assert rank(rows) == len(pivots), rows
+        got = rref(rows)
+        assert got == (basis, pivots), rows
+        assert all(type(x) is Fraction and (x is ZERO or x != 0) and (x is ONE or x != 1)
+                   for r in got[0] for x in r), rows
+        # the span key is each reduced row as a primitive int row with a positive pivot
+        assert span_key(rows) == tuple(primitive(r) for r in basis), rows
+        assert nullspace(rows, ncols=n) == ref.nullspace(rows, n), rows
+        if not m:
+            continue
+        x0 = [rng.randint(-2, 2) for _ in range(n)]
+        consistent = [sum(a * x for a, x in zip(r, x0)) for r in rows]
+        arbitrary = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)]
+        for rhs in (consistent, arbitrary):
+            assert solve(rows, rhs) == ref.solve(rows, rhs), (rows, rhs)
+    assert sum(kinds.values()) >= 1000 and min(kinds.values()) >= 300, kinds
+    assert min(shapes.values()) >= 50 and singular >= 300, (shapes, singular)
+
+
+def test_span_key_is_the_same_for_every_generating_set():
+    rng = random.Random(99)
+    for kind, rows, n, _ in _matrices():
+        if len(rows) < 2:
+            continue
+        mixed = [vscale(F(rng.choice([-3, -1, 2, F(1, 2)])), r) for r in rows]
+        rng.shuffle(mixed)
+        combined = [[x + y for x, y in zip(mixed[0], mixed[1])], *mixed[1:]]
+        assert span_key(combined) == span_key(rows), rows
+
+
+@pytest.mark.parametrize("routine", [rank, rref, span_key, lambda rows: nullspace(rows, 3)])
+def test_rows_of_unequal_length_are_rejected(routine):
+    with pytest.raises(ValueError, match="unequal length"):
+        routine([(1, 0), (0, 1, 2)])
+
+
+def test_solve_rejects_a_ragged_system():
+    with pytest.raises(ValueError, match="unequal length"):
+        solve([(1, 0), (0, 1, 2)], (1, 1))
+
+
+def test_floats_are_rejected_on_the_integer_paths():
+    with pytest.raises(TypeError):
+        primitive([0.5, 1])
+    with pytest.raises(TypeError):
+        rank([(1, 0), (0.5, 1)])

@@ -6,7 +6,9 @@ from math import factorial
 
 from mixedval import convex_hull
 from mixedval.geometry import placing_cells, volume_in_chart
-from mixedval.linalg import det, dot, is_zero, nullspace, solve, vec, vsub
+from mixedval.linalg import det, dot, is_zero, vec, vsub
+
+from .fraction_linalg import nullspace, solve
 
 F = Fraction
 

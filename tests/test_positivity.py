@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixedval import (
+    DimensionMismatch,
     LatticeMismatch,
     SEGMENT_CRITERION_VALUATIONS,
     MatroidOracle,
@@ -80,6 +81,23 @@ def test_matroid_oracle_validates_range():
     m = MatroidOracle(3, lambda s: len(s) <= 1)
     with pytest.raises(IndexError):
         m.independent((5,))
+
+
+def test_mixed_ambient_dimensions_are_rejected(unit_triangle):
+    spatial = hull((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    with pytest.raises(DimensionMismatch):
+        cylinder_lower_bound([unit_triangle, spatial])
+    with pytest.raises(DimensionMismatch):
+        decide_positive(DVOL, [unit_triangle, spatial])
+    with pytest.raises(DimensionMismatch):
+        positivity_witness([unit_triangle, spatial])
+    with pytest.raises(ValueError):
+        direction_matroid([(1, 0), (0, 1, 2)])
+
+
+def test_direction_matroid_rejects_floats():
+    with pytest.raises(TypeError):
+        direction_matroid([(1, 0), (0.5, 1)])
 
 
 def test_matroid_intersection_matches_brute_force():

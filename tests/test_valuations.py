@@ -1,13 +1,17 @@
 """Mixed combinations, dilation polynomials, h-vectors, conformance."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mixedval import (
+    HStarVector,
     LatticeMismatch,
+    ReconstructionError,
     Valuation,
     builtin_valuations,
     charac_recursion_check,
@@ -27,8 +31,10 @@ from mixedval import (
     translate,
     weak_hstar_monotone_check,
 )
+from mixedval.samplers import random_lattice_polytope
 
 from .conftest import hull
+from .fraction_linalg import solve
 from .strategies import lattice_polytopes, polytope_families
 
 F = Fraction
@@ -166,6 +172,57 @@ def test_h_star_evaluates_beyond_the_fit(unit_square):
     hs = h_star_vector(DVOL, unit_square)
     for n in (3, 4, 7):
         assert hs.evaluate(n) == DVOL(dilate(unit_square, n))
+
+
+def _h_star_by_solving(phi, P):
+    """Reference: solve the binomial system phi(nP), n = 0..r, by elimination."""
+    r = P.dim
+    vals = [phi(dilate(P, n)) for n in range(r + 2)]
+    rows = [[comb(n + r - i, r) for i in range(r + 1)] for n in range(r + 1)]
+    h = HStarVector(solve(rows, vals[: r + 1]))
+    if h.evaluate(r + 1) != vals[r + 1]:
+        raise ReconstructionError(
+            f"{phi.name} on dilates of this polytope is not a degree-{r} "
+            "polynomial in the binomial basis"
+        )
+    return h
+
+
+def _h_star_polytopes():
+    """Seeded lattice polytopes: full-dimensional in Q^1..Q^3, and
+    lower-dimensional in Q^2..Q^4 (spanned by one or two random
+    directions from a random point)."""
+    rng = random.Random(4242)
+    for d in (1, 2, 3, 4):
+        for t in range(16):
+            if d == 4 or (d > 1 and t % 2):
+                o = [rng.randint(-1, 1) for _ in range(d)]
+                gens = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(rng.randint(1, min(d - 1, 2)))]
+                combos = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+                combos += [[rng.randint(0, 2) for _ in gens] for _ in range(2)]
+                yield hull(o, *([x + sum(c * g[j] for c, g in zip(cs, gens)) for j, x in enumerate(o)] for cs in combos))
+            else:
+                yield random_lattice_polytope(rng, d, bound=1, max_vertices=d + 2, full_dim=True)
+
+
+def test_h_star_closed_form_matches_solving_the_system():
+    polytopes = list(_h_star_polytopes())
+    assert len(polytopes) >= 60
+    assert any(P.dim < P.ambient_dim for P in polytopes)
+    for P in polytopes:
+        for phi in (DVOL, VOL, INTERIOR):
+            h = h_star_vector(phi, P)
+            assert h == _h_star_by_solving(phi, P), (phi.name, P.vertices)
+            assert all(type(x) is Fraction for x in h.entries)
+
+
+def test_h_star_rejects_a_valuation_that_is_not_polynomial(unit_triangle):
+    exponential = Valuation("exponential", lambda P: 2 ** int(max(x for v in P.vertices for x in v)))
+    with pytest.raises(ReconstructionError) as got:
+        h_star_vector(exponential, unit_triangle)
+    with pytest.raises(ReconstructionError) as expected:
+        _h_star_by_solving(exponential, unit_triangle)
+    assert str(got.value) == str(expected.value)
 
 
 def test_weak_monotone_holds_for_dvol():
