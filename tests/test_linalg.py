@@ -8,15 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixedval.linalg import (
+    ONE,
+    SMALL,
+    ZERO,
     det,
     dot,
     feasible_nonneg,
     frac,
+    fraction,
     integerize,
     is_convex_combination,
     is_zero,
-    ONE,
-    ZERO,
     nullspace,
     primitive,
     primitive_signless,
@@ -175,6 +177,17 @@ def _matrices():
         yield kind, rows, n, rng
 
 
+def _shared(x):
+    """A Fraction, and the shared one when it is a small integer."""
+    return type(x) is Fraction and (x.denominator != 1 or x is SMALL.get(x.numerator, x))
+
+
+def test_fraction_shares_small_integers():
+    assert fraction(6, 3) is SMALL[2] and fraction(0, 5) is ZERO and fraction(-7) is SMALL[-7]
+    assert fraction(1, 3) == F(1, 3) and fraction(-4, 6) == F(-2, 3)
+    assert fraction(10**9, 2) == 5 * 10**8 and type(fraction(10**9)) is Fraction
+
+
 def test_elimination_matches_the_fraction_reference():
     shapes = {"empty": 0, "wide": 0, "tall": 0, "square": 0}
     kinds = {}
@@ -188,18 +201,21 @@ def test_elimination_matches_the_fraction_reference():
         assert rank(rows) == len(pivots), rows
         got = rref(rows)
         assert got == (basis, pivots), rows
-        assert all(type(x) is Fraction and (x is ZERO or x != 0) and (x is ONE or x != 1)
-                   for r in got[0] for x in r), rows
+        assert all(_shared(x) for r in got[0] for x in r), rows
         # the span key is each reduced row as a primitive int row with a positive pivot
         assert span_key(rows) == tuple(primitive(r) for r in basis), rows
-        assert nullspace(rows, ncols=n) == ref.nullspace(rows, n), rows
+        kernel = nullspace(rows, ncols=n)
+        assert kernel == ref.nullspace(rows, n), rows
+        assert all(_shared(x) for v in kernel for x in v), rows
         if not m:
             continue
         x0 = [rng.randint(-2, 2) for _ in range(n)]
         consistent = [sum(a * x for a, x in zip(r, x0)) for r in rows]
         arbitrary = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)]
         for rhs in (consistent, arbitrary):
-            assert solve(rows, rhs) == ref.solve(rows, rhs), (rows, rhs)
+            x = solve(rows, rhs)
+            assert x == ref.solve(rows, rhs), (rows, rhs)
+            assert x is None or all(_shared(t) for t in x), (rows, rhs)
     assert sum(kinds.values()) >= 1000 and min(kinds.values()) >= 300, kinds
     assert min(shapes.values()) >= 50 and singular >= 300, (shapes, singular)
 
