@@ -54,7 +54,6 @@ from .linalg import (
     dot,
     extend_echelon,
     frac,
-    fraction,
     int_row,
     integerize,
     is_zero,
@@ -62,6 +61,7 @@ from .linalg import (
     primitive,
     primitive_signless,
     rank,
+    rational,
     reduced_echelon,
     rref,
     solve,
@@ -209,7 +209,7 @@ class Polytope:
             g = gcd(*a)
             a = tuple(x // g for x in a)
             # <a, x> <= L beta / (D g) + <a, o>
-            c = fraction(L * beta * E + D * g * sum(map(mul, a, oe)), D * g * E)
+            c = rational(L * beta * E + D * g * sum(map(mul, a, oe)), D * g * E)
             out.append((Facet(a, c), tight))
         out.sort(key=lambda ft: ft[0])
         return tuple(f for f, _ in out), tuple(t for _, t in out)
@@ -452,7 +452,7 @@ def _hull_polytope(D: int, points: Sequence[tuple[int, ...]], lattice: str | Non
     o = points[0]
     loc = [tuple(p[c] - o[c] for c in pivots) for p in points]
     chosen, facets = _hull(loc, k) if k else ([0], [])
-    verts = tuple(tuple(fraction(x, D) for x in points[i]) for i in chosen)
+    verts = tuple(tuple(rational(x, D) for x in points[i]) for i in chosen)
     P = Polytope(len(o), verts, _lattice_tag(verts, lattice))
     # points[0] is the least point, hence P's first vertex, and the
     # row-reduced basis depends on the span alone: P's own chart is this one

@@ -24,7 +24,7 @@ SMALL = {i: Fraction(i) for i in range(-128, 129)}
 ZERO, ONE = SMALL[0], SMALL[1]
 
 
-def fraction(n: int, d: int = 1) -> Fraction:
+def rational(n: int, d: int = 1) -> Fraction:
     """n / d for ints, the shared Fraction when it is a small integer."""
     q, r = divmod(n, d)
     return SMALL[q] if not r and q in SMALL else Fraction(n, d)
@@ -115,7 +115,7 @@ def reduced_echelon(rows: Iterable[Sequence]) -> Echelon:
 def rref(rows: Iterable[Sequence]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped, and its pivots."""
     ech = reduced_echelon(rows)
-    return tuple(tuple(fraction(x, r[c]) for x in r) for c, r in ech), tuple(c for c, _ in ech)
+    return tuple(tuple(rational(x, r[c]) for x in r) for c, r in ech), tuple(c for c, _ in ech)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -141,7 +141,7 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
         return None
     x = [ZERO] * n
     for c, r in ech:
-        x[c] = fraction(r[n], r[c])
+        x[c] = rational(r[n], r[c])
     return tuple(x)
 
 
@@ -160,7 +160,7 @@ def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> list[Vec]:
     for free in (f for f in range(n) if f not in ech):
         v = [ONE if j == free else ZERO for j in range(n)]
         for c, r in ech.items():
-            v[c] = fraction(-r[free], r[c])
+            v[c] = rational(-r[free], r[c])
         basis.append(tuple(v))
     return basis
 

@@ -15,7 +15,6 @@ from mixedval.linalg import (
     dot,
     feasible_nonneg,
     frac,
-    fraction,
     integerize,
     is_convex_combination,
     is_zero,
@@ -23,6 +22,7 @@ from mixedval.linalg import (
     primitive,
     primitive_signless,
     rank,
+    rational,
     rref,
     solve,
     span_key,
@@ -182,10 +182,10 @@ def _shared(x):
     return type(x) is Fraction and (x.denominator != 1 or x is SMALL.get(x.numerator, x))
 
 
-def test_fraction_shares_small_integers():
-    assert fraction(6, 3) is SMALL[2] and fraction(0, 5) is ZERO and fraction(-7) is SMALL[-7]
-    assert fraction(1, 3) == F(1, 3) and fraction(-4, 6) == F(-2, 3)
-    assert fraction(10**9, 2) == 5 * 10**8 and type(fraction(10**9)) is Fraction
+def test_rational_shares_small_integers():
+    assert rational(6, 3) is SMALL[2] and rational(0, 5) is ZERO and rational(-7) is SMALL[-7]
+    assert rational(1, 3) == F(1, 3) and rational(-4, 6) == F(-2, 3)
+    assert rational(10**9, 2) == 5 * 10**8 and type(rational(10**9)) is Fraction
 
 
 def test_elimination_matches_the_fraction_reference():

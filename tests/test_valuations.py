@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -197,10 +198,11 @@ def _h_star_polytopes():
         for t in range(16):
             if d == 4 or (d > 1 and t % 2):
                 o = [rng.randint(-1, 1) for _ in range(d)]
-                gens = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(rng.randint(1, min(d - 1, 2)))]
-                combos = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
-                combos += [[rng.randint(0, 2) for _ in gens] for _ in range(2)]
-                yield hull(o, *([x + sum(c * g[j] for c, g in zip(cs, gens)) for j, x in enumerate(o)] for cs in combos))
+                e = rng.randint(1, min(d - 1, 2))
+                gens = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(e)]
+                combos = [[int(i == j) for j in range(e)] for i in range(e)]
+                combos += [[rng.randint(0, 2) for _ in range(e)] for _ in range(2)]
+                yield hull(o, *([x + sum(map(mul, cs, col)) for x, col in zip(o, zip(*gens))] for cs in combos))
             else:
                 yield random_lattice_polytope(rng, d, bound=1, max_vertices=d + 2, full_dim=True)
 
