@@ -445,7 +445,7 @@ def _hull_polytope(D: int, points: Sequence[tuple[int, ...]], lattice: str | Non
     One beneath-beyond pass over the points in integer chart coordinates
     (_hull) gives the vertices, the facets and their tight sets; facets
     are filled in from the same pass, and Fraction is built only for the
-    vertices.
+    vertices and the facet offsets.
     """
     basis, pivots = _span_basis(points)
     k = len(pivots)
