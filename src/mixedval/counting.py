@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .geometry import (
@@ -112,11 +113,11 @@ def _fibers(H: HalfOpenPolytope) -> Iterator[tuple[tuple[int, ...], int, int]]:
         return
     prefix_ranges = [range(lo, hi + 1) for lo, hi in box[:-1]]
     last_lo, last_hi = box[-1]
+    split = [(a[:-1], a[-1], b) for a, b in cons]
     for prefix in product(*prefix_ranges):
         lo, hi = last_lo, last_hi
-        for a, b in cons:
-            r = b - sum(ai * pi for ai, pi in zip(a[:-1], prefix))
-            ad = a[-1]
+        for head, ad, b in split:
+            r = b - sum(map(mul, head, prefix))
             if ad == 0:
                 if r < 0:
                     break

@@ -28,6 +28,7 @@ from .geometry import (
     NotGeneric,
     Polytope,
     _common_ambient,
+    _dilation_vector,
     _integer_chart,
     _lattice_tag,
     _require_polytope,
@@ -214,10 +215,7 @@ class MixedCell:
         """The cell rescaled summand-wise by n, half-open state carried
         along; None when a removed facet's owner collapses to a point,
         which empties the strict side of a now-constant constraint."""
-        if len(n) != len(self.summands):
-            raise ValueError("one scale per summand")
-        if any(k < 0 for k in n):
-            raise ValueError("scales must be nonnegative")
+        n = _dilation_vector(n, len(self.summands))
         removed_normals = []
         for i in sorted(self.removed):
             if n[self.owners[i]] == 0:
@@ -328,9 +326,7 @@ def dilated_cell_counts(D: Dissection, n: Sequence[int]) -> list[int]:
         raise ValueError("dissection does not track factors")
     if D.opener is None:
         raise ValueError("dissection has no half-open state; open it first")
-    n = tuple(int(k) for k in n)
-    if len(n) != len(D.factors):
-        raise ValueError("one dilation factor per factor polytope")
+    n = _dilation_vector(n, len(D.factors))
     out = []
     for c in D.cells:
         H = c.scaled_half_open(n)
@@ -664,7 +660,7 @@ def difference_counts(
     cert: DifferenceCertificate, n: Sequence[int]
 ) -> list[int]:
     """Rescaled half-open counts of the difference cells."""
-    n = tuple(int(k) for k in n)
+    n = _dilation_vector(n, len(cert.outer_factors))
     out = []
     for k in cert.difference_cells:
         H = cert.dissection.cells[k].scaled_half_open(n)

@@ -19,7 +19,10 @@ affine chart whose basis is the row-reduced basis of their directions,
 where local coordinates are pivot entries; only the vertices and the
 facet offsets go back to Fraction.  convex_hull runs it on its input and
 a raw-constructed Polytope on its own vertices; a Minkowski sum scales
-both summands by one D and hulls the distinct int vertex sums.
+both summands by one D and hulls the distinct int vertex sums.  A scaled
+sum n1 P1 + ... + nr Pr with every ni > 0 runs no hull: it has the
+normal fan of P1 + ... + Pr (Ziegler, Lectures on Polytopes, Prop. 7.12)
+and is read off that sum's facets.
 
 Volume, too, is integer: placing_cells triangulates the same chart
 coordinates with integer side tests, and volume_in_chart divides the
@@ -30,11 +33,12 @@ A hull of 30 random lattice points in Q^4 takes about 0.02 s (Intel
 Xeon, 2 vCPUs, Python 3.11.7).
 
 This module owns the package's only Minkowski-sum cache.
-minkowski_sum_all and scaled_sum add pairs through it, and valuations,
-dissections and the CLI sum through those two, so a sum computed for
-one purpose (a mixed combination, a dissection cell, a certificate
-target) is reused by every other.  minkowski_sum itself stays uncached:
-the self-checks that test the sum algebra call it directly.
+minkowski_sum_all adds pairs through it and scaled_sum rescales the
+plain sums it keeps, so no dilate enters it; valuations, dissections and
+the CLI sum through those two, so a sum computed for one purpose (a mixed
+combination, a dissection cell, a certificate target at any dilation) is
+reused by every other.  minkowski_sum itself stays uncached: the
+self-checks that test the sum algebra call it directly.
 """
 
 from __future__ import annotations
@@ -294,6 +298,13 @@ class Polytope:
             for j in range(self.ambient_dim)
         )
 
+    @cached_property
+    def _hash(self) -> int:  # the dataclass hash, once: every cache lookup hashes P
+        return hash((self.ambient_dim, self.vertices, self.lattice))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         return f"Polytope(dim={self.dim}, ambient={self.ambient_dim}, nverts={len(self.vertices)}, lattice={self.lattice})"
 
@@ -362,12 +373,14 @@ def _hull(
     ridges, the (k-2)-faces shared by a facet it sees and one it does not;
     a point on the hyperplane of a facet joins that facet.  Every facet is
     (alpha, beta, tight): <alpha, x> <= beta on all points, with equality
-    exactly on the points indexed by tight.  A vertex is a point whose
-    tight normals have rank k.  Everything is Python int.
+    exactly on the points indexed by tight.  A vertex is the one point the
+    (exact) tight sets of the facets through it share.  All in Python int.
     """
-    simplex = [0]
+    simplex, rows, o = [0], [], points[0]
     for i in range(1, len(points)):
-        if len(simplex) <= k and _affine_rank([points[j] for j in simplex + [i]]) == len(simplex):
+        if len(simplex) > k:
+            break
+        if extend_echelon(rows, [x - y for x, y in zip(points[i], o)]):
             simplex.append(i)
     facets: list[tuple[tuple[int, ...], int, set[int]]] = []
     for i in simplex:
@@ -398,7 +411,8 @@ def _hull(
                 continue  # p extends this facet rather than cutting past it
             for (a_f, b_f, t_f), h_f in seen:
                 ridge = t_f & t_g
-                if len(ridge) >= k - 1 and _affine_rank([points[j] for j in ridge]) == k - 2:
+                # for k <= 3, k-1 points on two facet hyperplanes span a ridge
+                if len(ridge) >= k - 1 and (k <= 3 or _affine_rank([points[j] for j in ridge]) == k - 2):
                     # the hyperplane through the ridge and p, a positive
                     # combination of the two facet inequalities
                     alpha = [h_f * y - h_g * x for x, y in zip(a_f, a_g)]
@@ -407,11 +421,11 @@ def _hull(
                     cones.append((tuple(x // g for x in alpha), beta // g, ridge | {i}))
         facets = [f for f, _ in kept] + cones
 
-    normals: dict[int, list[tuple[int, ...]]] = {}
-    for alpha, _, tight in facets:
+    face: dict[int, set[int]] = {}
+    for _, _, tight in facets:
         for i in tight:
-            normals.setdefault(i, []).append(alpha)
-    vertices = sorted(i for i, ns in normals.items() if len(ns) >= k and rank(ns) == k)
+            face[i] = face[i] & tight if i in face else set(tight)
+    vertices = sorted(i for i, f in face.items() if len(f) == 1)
     return vertices, [(alpha, beta, frozenset(tight)) for alpha, beta, tight in facets]
 
 
@@ -560,12 +574,67 @@ def minkowski_sum_all(polys: Sequence[Polytope]) -> Polytope:
 
 
 def scaled_sum(polys: Sequence[Polytope], n: Sequence[int]) -> Polytope:
-    """n1 P1 + ... + nr Pr; the origin when every ni is 0."""
-    if not polys or len(n) != len(polys):
+    """n1 P1 + ... + nr Pr; the origin when every ni is 0.  The summands
+    with ni = 0 drop out; the rest are summed once through the cache and
+    the sum rescaled along its normal fan, with no hull (_rescaled)."""
+    polys = [_require_polytope(P) for P in polys]
+    if not polys:
         raise ValueError("need at least one polytope and one scale for each")
+    n = _dilation_vector(n, len(polys))
     d = _common_ambient(polys)
-    parts = [dilate(P, k) for P, k in zip(polys, n) if k]
-    return minkowski_sum_all(parts) if parts else origin_polytope(d)
+    parts = [(P, k) for P, k in zip(polys, n) if k]
+    if not parts:
+        return origin_polytope(d)
+    S = minkowski_sum_all([P for P, _ in parts])
+    return S if all(k == 1 for _, k in parts) else _rescaled(S, parts)
+
+
+def _rescaled(S: Polytope, parts: Sequence[tuple[Polytope, int]]) -> Polytope:
+    """n1 P1 + ... + nr Pr, every ni > 0, from S = P1 + ... + Pr, in int on
+    one common denominator D.  The sum c of the normals of the facets
+    through a vertex of S is inside its normal cone, so <c, .> has one
+    maximizer on each Pi; the new vertex is the sum of ni times those.
+    Normals, facet order, tight sets (on the new vertex order), the chart
+    basis, _lift and the equality normals carry over; the offsets are
+    taken at the new vertices."""
+    d, (facets, tights) = S.ambient_dim, S._facet_data
+    D, ints = _scaled([v for P, _ in parts for v in P.vertices])
+    it = iter(ints)
+    blocks = [([next(it) for _ in P.vertices], k) for P, k in parts]
+    cones = [[0] * d for _ in S.vertices]
+    for f, tight in zip(facets, tights):
+        for j in tight:
+            cones[j] = list(map(add, cones[j], f.normal))
+    points = []
+    for c in cones:
+        tops = [(k, max(pts, key=lambda v: sum(map(mul, c, v)))) for pts, k in blocks]
+        points.append([sum(k * v[j] for k, v in tops) for j in range(d)])
+    order = sorted(range(len(points)), key=points.__getitem__)
+    position = {j: i for i, j in enumerate(order)}
+    verts = tuple(tuple(rational(x, D) for x in points[j]) for j in order)
+    T = Polytope(d, verts, _lattice_tag(verts, None))
+    o = points[order[0]]
+    T.__dict__.update(
+        _chart=(verts[0], *S._chart[1:]),
+        _lift=S._lift,
+        aff_equalities=tuple((e, rational(sum(map(mul, e, o)), D)) for e, _ in S.aff_equalities),
+    )
+    offsets = [rational(sum(map(mul, f.normal, points[min(t)])), D) for f, t in zip(facets, tights)]
+    return _prepopulate(
+        T,
+        tuple(Facet(f.normal, c) for f, c in zip(facets, offsets)),
+        tuple(frozenset(position[j] for j in t) for t in tights),
+    )
+
+
+def _dilation_vector(n: Sequence[int], r: int) -> tuple[int, ...]:
+    """n as r dilation factors, each a nonnegative int (not a bool)."""
+    n = tuple(n)
+    if len(n) != r:
+        raise ValueError(f"need one dilation factor for each of the {r} polytopes, got {len(n)}")
+    if any(type(k) is not int or k < 0 for k in n):
+        raise ValueError(f"dilation factors must be nonnegative integers, got {n}")
+    return n
 
 
 def _common_ambient(polys: Sequence[Polytope]) -> int:

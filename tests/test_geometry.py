@@ -3,7 +3,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -28,11 +27,11 @@ from mixedval import (
     translate,
 )
 from mixedval.geometry import solve_in_basis
-from mixedval.linalg import dot, primitive, vadd, vec, vsub
+from mixedval.linalg import vadd
 from mixedval.samplers import random_lattice_polytope, random_rational_polytope
 
 from .conftest import hull
-from .fraction_linalg import nullspace, rank
+from .hull_reference import brute_hull
 from .strategies import lattice_polytopes
 
 F = Fraction
@@ -138,44 +137,6 @@ def test_solve_in_basis_round_trip():
     assert coeffs == (F(3), F(2))
 
 
-def _brute_hull(points):
-    """Reference hull: (vertices, facets, tight sets) of conv(points).
-
-    Independent of the package's hull: every hyperplane of aff(points)
-    through k affinely independent points is tried in Fraction, in
-    ambient coordinates, and kept when all points lie on one side of it;
-    a vertex is a point whose tight normals have rank k.  Facets are
-    sorted (normal, offset) pairs with primitive normals in the linear
-    space of aff(points), and tight sets index the vertices.
-    """
-    pts = sorted({vec(p) for p in points})
-    d = len(pts[0])
-    diffs = [vsub(p, pts[0]) for p in pts[1:]]
-    k = rank(diffs)
-    if k == 0:
-        return tuple(pts), (), ()
-    equations = nullspace(diffs, ncols=d)
-    tight = {}
-    for combo in combinations(range(len(pts)), k):
-        base = pts[combo[0]]
-        ns = nullspace(equations + [vsub(pts[i], base) for i in combo[1:]], ncols=d)
-        if len(ns) != 1:
-            continue
-        a = primitive(ns[0])
-        values = [dot(a, p) for p in pts]
-        beta = values[combo[0]]
-        if min(values) == beta:
-            a, beta, values = tuple(-x for x in a), -beta, [-x for x in values]
-        if max(values) == beta:
-            tight[(a, beta)] = frozenset(i for i, x in enumerate(values) if x == beta)
-    normals = [[a for (a, _), t in tight.items() if i in t] for i in range(len(pts))]
-    chosen = [i for i, ns in enumerate(normals) if ns and rank([vec(a) for a in ns]) == k]
-    position = {i: n for n, i in enumerate(chosen)}
-    facets = sorted(tight)
-    tights = tuple(frozenset(position[i] for i in tight[f] if i in position) for f in facets)
-    return tuple(pts[i] for i in chosen), tuple(facets), tights
-
-
 def _assert_matches(P, reference, label):
     verts, facets, tights = reference
     assert P.vertices == verts, label
@@ -213,7 +174,7 @@ def test_hull_matches_the_brute_force_reference():
     rng, cases = _reference_cases()
     for d, kind, pts in cases:
         label = (d, kind, pts)
-        reference = _brute_hull(pts)
+        reference = brute_hull(pts)
         H = convex_hull(pts)
         _assert_matches(H, reference, label)
         # the raw constructor enumerates its facets on its own
@@ -221,7 +182,7 @@ def test_hull_matches_the_brute_force_reference():
         if len(H.vertices) <= 6:
             Q = convex_hull([rng.choice(pts), tuple(F(1, 2) for _ in range(d))])
             sums = [vadd(p, q) for p in H.vertices for q in Q.vertices]
-            _assert_matches(minkowski_sum(H, Q), _brute_hull(sums), label)
+            _assert_matches(minkowski_sum(H, Q), brute_hull(sums), label)
 
 
 def _three_dimensional_sum_pairs():
@@ -255,7 +216,7 @@ def test_three_dimensional_sum_matches_hull_of_vertex_sums():
             S = minkowski_sum(P, Q)
             assert S.ambient_dim == (4 if kind == "ambient4" else 3)
             sums = [vadd(p, q) for p in P.vertices for q in Q.vertices]
-            _assert_matches(S, _brute_hull(sums), (kind, P, Q))
+            _assert_matches(S, brute_hull(sums), (kind, P, Q))
 
 
 def test_scaled_sum_is_the_sum_of_dilates():
