@@ -11,28 +11,15 @@ used by the acceptance gate (132 classes, 8778 pairs).
 from __future__ import annotations
 
 import argparse
-import itertools
 from collections import Counter
 
 from mixedval import (
     builtin_valuations,
     cm,
-    convex_hull,
     cylinder_lower_bound,
     decide_positive,
+    planar_translation_classes,
 )
-
-
-def translation_classes(k: int):
-    grid = [(x, y) for x in range(k + 1) for y in range(k + 1)]
-    classes = {}
-    for size in range(1, len(grid) + 1):
-        for subset in itertools.combinations(grid, size):
-            P = convex_hull(list(subset), lattice="Z")
-            lo = tuple(min(v[i] for v in P.vertices) for i in range(2))
-            key = tuple(sorted(tuple(c - l for c, l in zip(v, lo)) for v in P.vertices))
-            classes.setdefault(key, P)
-    return list(classes.values())
 
 
 def main() -> int:
@@ -41,7 +28,7 @@ def main() -> int:
     args = parser.parse_args()
 
     dvol = builtin_valuations()["dvol"]
-    reps = translation_classes(args.grid)
+    reps = planar_translation_classes(args.grid)
     print(f"{len(reps)} translation classes on the {args.grid + 1}x{args.grid + 1} grid")
 
     values = Counter()

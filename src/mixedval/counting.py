@@ -25,6 +25,7 @@ from typing import Callable, Iterator, Sequence
 from .geometry import (
     Polytope,
     _require_polytope,
+    _scaled,
     face_lattice,
 )
 from .linalg import dot, vec
@@ -92,13 +93,15 @@ def _constraints(H: HalfOpenPolytope) -> list[Constraint] | None:
 
 
 def _box(P: Polytope) -> list[tuple[int, int]] | None:
+    """The integer box: ceil(min / D) and floor(max / D) per coordinate
+    of the vertices scaled by their common denominator D."""
+    D, pts = _scaled(P.vertices)
     out = []
-    for lo, hi in P.bounding_box:
-        lo_i = -((-lo.numerator) // lo.denominator)  # ceil
-        hi_i = hi.numerator // hi.denominator  # floor
-        if lo_i > hi_i:
+    for col in zip(*pts):
+        lo, hi = -(-min(col) // D), max(col) // D
+        if lo > hi:
             return None
-        out.append((lo_i, hi_i))
+        out.append((lo, hi))
     return out
 
 

@@ -11,7 +11,6 @@ time.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .geometry import (
     scaled_sum,
     translate,
 )
-from .linalg import dot, feasible_nonneg, is_zero, vadd, vec
+from .linalg import dot, is_zero, primitive, vadd, vec
 from .samplers import random_relint_point
 
 # -- half-open operators ------------------------------------------------------
@@ -97,8 +96,11 @@ def direction_matching_point(P: Polytope, q: Sequence) -> tuple[int, ...]:
     """For a simplex P and a generic point q outside it, an integer
     direction u with the same removed facets as the point operator.
 
-    Works by exact LP feasibility: u ranges over the direction space of
-    aff(P) and each facet normal is forced to the sign q induces.
+    u is primitive(m q - (v_1 + ... + v_m)) for v_1..v_m the vertices
+    opposite the m facets that q sees: on a seen facet the opposite
+    vertex is strictly inside and the other averaged vertices are on it,
+    so <a, u> > 0; an unseen facet holds every averaged vertex and q is
+    strictly inside it, so <a, u> < 0.
     """
     P = _require_polytope(P)
     if len(P.vertices) != P.dim + 1:
@@ -106,35 +108,13 @@ def direction_matching_point(P: Polytope, q: Sequence) -> tuple[int, ...]:
     H = half_open_by_point(P, q)
     if not H.removed:
         raise GeometryError("point sees no facet; a direction always sees one")
-    _, basis, _ = P._chart
-    k = len(basis)
-    facets = P.facets
-    nf = len(facets)
-    # sigma_i <a_i, u> >= 1 with u = sum_t (w+_t - w-_t) basis_t
-    rows = []
-    for i, f in enumerate(facets):
-        sigma = 1 if i in H.removed else -1
-        coeffs = [sigma * dot(f.normal, b) for b in basis]
-        rows.append(
-            coeffs
-            + [-c for c in coeffs]
-            + [Fraction(-1) if j == i else Fraction(0) for j in range(nf)]
-        )
-    sol = feasible_nonneg(rows, [1] * nf)
-    if sol is None:
-        raise GeometryError("no matching direction exists")
-    w = [sol[t] - sol[k + t] for t in range(k)]
-    u = [
-        sum((w[t] * basis[t][i] for t in range(k)), Fraction(0))
-        for i in range(P.ambient_dim)
-    ]
-    den = 1
-    for x in u:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ui = tuple(int(x * den) for x in u)
-    if half_open_by_direction(P, ui).removed != H.removed:
-        raise CertificateError("solved direction disagrees with the point")
-    return ui
+    n = len(P.vertices)
+    opposite = [P.vertices[min(set(range(n)) - P.facet_tight_sets[i])] for i in H.removed]
+    m = len(opposite)
+    u = primitive([m * x - sum(v[j] for v in opposite) for j, x in enumerate(vec(q))])
+    if half_open_by_direction(P, u).removed != H.removed:
+        raise CertificateError("matching direction disagrees with the point")
+    return u
 
 
 # -- mixed cells and dissections ------------------------------------------------

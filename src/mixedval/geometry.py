@@ -15,7 +15,7 @@ Conventions:
 One routine, _hull, finds the vertices, the facets and their tight sets
 of every polytope in every dimension, by beneath-beyond.  It runs in
 Python int on the points scaled by one common denominator D, in the
-affine chart whose basis is the row-reduced basis of their directions,
+affine chart whose basis is the reduced int echelon of their directions,
 where local coordinates are pivot entries; only the vertices and the
 facet offsets go back to Fraction.  convex_hull runs it on its input and
 a raw-constructed Polytope on its own vertices; a Minkowski sum scales
@@ -58,17 +58,11 @@ from .linalg import (
     dot,
     extend_echelon,
     frac,
-    int_row,
-    integerize,
-    is_zero,
-    nullspace,
     primitive,
     primitive_signless,
     rank,
     rational,
     reduced_echelon,
-    rref,
-    solve,
     span_key,
     vec,
     vadd,
@@ -77,6 +71,8 @@ from .linalg import (
 )
 
 Point = Vec
+# (origin, int basis rows of lin(aff P), their pivot columns)
+Chart = tuple[Point, tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 class GeometryError(ValueError):
@@ -151,16 +147,29 @@ class Polytope:
         return len(self._chart[1])
 
     @cached_property
-    def _chart(self) -> tuple[Point, tuple[Vec, ...], tuple[int, ...]]:
-        """(origin, basis rows, pivot columns), basis the row-reduced basis of lin(aff P)."""
+    def _chart(self) -> Chart:
+        """(origin, basis rows, pivot columns): the basis of lin(aff P) is the
+        reduced int echelon of its directions, primitive rows with positive
+        pivots, each zero in the other pivot columns."""
         return (self.vertices[0], *_span_basis(_scaled(self.vertices)[1]))
 
     @cached_property
     def aff_equalities(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        """Primitive integer pairs (e, f) with <e, x> = f on aff(P)."""
-        o, basis, _ = self._chart
-        normals = nullspace(basis, ncols=self.ambient_dim)
-        return tuple(sorted(integerize(c, dot(c, o)) for c in normals))
+        """Primitive integer pairs (e, f) with <e, x> = f on aff(P), one per
+        free column j of the chart basis: e_j = L and e_c = -r_j L / r_c for
+        each basis row r with pivot c, L the lcm of the pivot entries."""
+        o, basis, pivots = self._chart
+        L = lcm(*(r[c] for r, c in zip(basis, pivots)))
+        out = []
+        for j in sorted(set(range(self.ambient_dim)).difference(pivots)):
+            e = [0] * self.ambient_dim
+            e[j] = L
+            for r, c in zip(basis, pivots):
+                e[c] = -r[j] * (L // r[c])
+            g = gcd(*e)
+            e = tuple(x // g for x in e)
+            out.append((e, dot(e, o)))
+        return tuple(sorted(out))
 
     @cached_property
     def is_integral(self) -> bool:
@@ -180,18 +189,18 @@ class Polytope:
     def _lift(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(M, L): L times the matrix that lifts chart normals to lin(aff P).
 
-        The lift of alpha is the a in lin(aff P) with <a, b_i> = alpha_i
-        for every basis row b_i, that is B^T (B B^T)^-1 alpha; M is the
-        identity when P is full-dimensional.  The int rows C = S B (S the
-        diagonal of their pivot entries) give B^T (B B^T)^-1 = C^T G^-1 S
-        with G = C C^T, and one elimination of [G | I] reduces its rows to
-        (p_i e_i | p_i (G^-1)_i).
+        Chart coordinates (pivot entries) are coefficients in B = S^-1 C,
+        for C the int basis rows of the chart and S the diagonal of their
+        pivot entries.  The lift of alpha is the a in lin(aff P) with
+        <a, b_i> = alpha_i for every row b_i of B, that is
+        B^T (B B^T)^-1 alpha; M is the identity when P is full-dimensional.
+        B^T (B B^T)^-1 = C^T G^-1 S with G = C C^T, and one elimination of
+        [G | I] reduces its rows to (p_i e_i | p_i (G^-1)_i).
         """
-        _, basis, pivots = self._chart
-        k, d = len(basis), self.ambient_dim
+        _, C, pivots = self._chart
+        k, d = len(C), self.ambient_dim
         if k == d:
             return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1
-        C = [int_row(b) for b in basis]
         eye = [[int(i == j) for j in range(k)] for i in range(k)]
         inv = reduced_echelon([sum(map(mul, a, b)) for b in C] + e for a, e in zip(C, eye))
         L = lcm(*(r[c] for c, r in inv))
@@ -309,13 +318,6 @@ class Polytope:
         return f"Polytope(dim={self.dim}, ambient={self.ambient_dim}, nverts={len(self.vertices)}, lattice={self.lattice})"
 
 
-def solve_in_basis(basis: Sequence[Vec], v: Vec) -> Vec | None:
-    """Coefficients t with sum t_i basis_i = v, or None if v is outside the span."""
-    if not basis:
-        return () if is_zero(v) else None
-    return solve([[b[r] for b in basis] for r in range(len(v))], v)
-
-
 def _prepopulate(
     P: Polytope, facets: tuple[Facet, ...], tights: tuple[frozenset[int], ...]
 ) -> Polytope:
@@ -332,8 +334,10 @@ def _scaled(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, 
     return D, [tuple(x.numerator * (D // x.denominator) for x in p) for p in points]
 
 
-def _span_basis(points: Sequence[Sequence[int]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """The row-reduced basis of the directions of aff(int points), and its
+def _span_basis(
+    points: Sequence[Sequence[int]],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The reduced int echelon of the directions of aff(int points) and its
     pivots, from the echelon of the directions that leave the span."""
     o = points[0]
     rows: list[tuple[int, list[int]]] = []
@@ -341,14 +345,13 @@ def _span_basis(points: Sequence[Sequence[int]]) -> tuple[tuple[Vec, ...], tuple
         if len(rows) == len(o):
             break
         extend_echelon(rows, [x - y for x, y in zip(p, o)])
-    return rref(r for _, r in rows)
+    ech = reduced_echelon(r for _, r in rows)
+    return tuple(tuple(r) for _, r in ech), tuple(c for c, _ in ech)
 
 
-def _integer_chart(
-    points: Sequence[Point], chart: tuple[Point, tuple[Vec, ...], tuple[int, ...]]
-) -> tuple[int, list[tuple[int, ...]]]:
+def _integer_chart(points: Sequence[Point], chart: Chart) -> tuple[int, list[tuple[int, ...]]]:
     """(D, coordinates): the points in the chart, scaled by one common
-    denominator D; local coordinates in a row-reduced basis are pivot entries."""
+    denominator D; local coordinates are pivot entries."""
     o, _, pivots = chart
     return _scaled([[p[c] - o[c] for c in pivots] for p in points])
 
@@ -469,7 +472,7 @@ def _hull_polytope(D: int, points: Sequence[tuple[int, ...]], lattice: str | Non
     verts = tuple(tuple(rational(x, D) for x in points[i]) for i in chosen)
     P = Polytope(len(o), verts, _lattice_tag(verts, lattice))
     # points[0] is the least point, hence P's first vertex, and the
-    # row-reduced basis depends on the span alone: P's own chart is this one
+    # reduced echelon depends on the span alone: P's own chart is this one
     P.__dict__["_chart"] = (verts[0], basis, pivots)
     position = {i: n for n, i in enumerate(chosen)}
     on_vertices = [

@@ -5,7 +5,8 @@ Every elimination is fraction-free in Python int (Bareiss, Math. Comp.
 22, 1968): a rational row is cleared of denominators once, and Fraction
 is built only for returned values.  The one echelon is a list of (pivot
 column, primitive int row with a positive pivot) pairs, grown by
-extend_echelon; rank, rref, span_key, solve and nullspace read it off.
+extend_echelon; rank, span_key and solve read it off, and
+reduced_echelon is the int basis of a polytope's affine chart.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ Vec = tuple[Fraction, ...]
 Echelon = list[tuple[int, list[int]]]
 
 # one shared Fraction per small integer: values that a cached polytope
-# keeps (lattice coordinates, facet offsets, chart entries) cost no object
+# keeps (lattice coordinates, facet offsets) cost no object
 SMALL = {i: Fraction(i) for i in range(-128, 129)}
 ZERO, ONE = SMALL[0], SMALL[1]
 
@@ -112,12 +113,6 @@ def reduced_echelon(rows: Iterable[Sequence]) -> Echelon:
     return ech
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped, and its pivots."""
-    ech = reduced_echelon(rows)
-    return tuple(tuple(rational(x, r[c]) for x in r) for c, r in ech), tuple(c for c, _ in ech)
-
-
 def rank(rows: Iterable[Sequence]) -> int:
     ech: Echelon = []
     return sum(extend_echelon(ech, v) for v in int_rows(rows))
@@ -143,26 +138,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     for c, r in ech:
         x[c] = rational(r[n], r[c])
     return tuple(x)
-
-
-def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : A x = 0}.
-
-    `ncols` is required when `rows` may be empty (the nullspace is then
-    all of the ambient space).
-    """
-    work = list(rows)
-    if not work and ncols is None:
-        raise ValueError("ncols required for an empty row list")
-    n = len(work[0]) if work else ncols
-    ech = dict(reduced_echelon(work))
-    basis: list[Vec] = []
-    for free in (f for f in range(n) if f not in ech):
-        v = [ONE if j == free else ZERO for j in range(n)]
-        for c, r in ech.items():
-            v[c] = rational(-r[free], r[c])
-        basis.append(tuple(v))
-    return basis
 
 
 def det(rows: Sequence[Sequence]) -> int | Fraction:
@@ -225,81 +200,3 @@ def primitive_signless(v: Sequence[Fraction]) -> tuple[int, ...]:
     p = primitive(v)
     lead = next(x for x in p if x != 0)
     return p if lead > 0 else tuple(-x for x in p)
-
-
-def integerize(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[int, ...], Fraction]:
-    """Scale (a, b) by a positive rational so `a` is primitive integer."""
-    p = primitive(normal)
-    # the common positive factor: p = s * normal with s > 0
-    i = next(j for j, x in enumerate(p) if x != 0)
-    s = Fraction(p[i]) / frac(normal[i])
-    if s <= 0:
-        raise ValueError("scaling factor must be positive")
-    return p, frac(offset) * s
-
-
-def feasible_nonneg(
-    rows: Sequence[Sequence], rhs: Sequence
-) -> list[Fraction] | None:
-    """Exact LP feasibility: some z >= 0 with (rows) z = rhs, or None.
-
-    Phase-one simplex with Bland's rule; small systems only.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    A = [[frac(v) for v in row] for row in rows]
-    b = [frac(v) for v in rhs]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    # tableau with one artificial per row
-    T = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    ncols = n + m
-    # objective: minimize the sum of artificials
-    z = [ZERO] * (ncols + 1)
-    for i in range(m):
-        z = [zi + ti for zi, ti in zip(z, T[i])]
-    while True:
-        col = next((j for j in range(n) if z[j] > 0), None)
-        if col is None:
-            break
-        best = None
-        for i in range(m):
-            if T[i][col] > 0:
-                ratio = T[i][ncols] / T[i][col]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            break
-        _, row = best
-        piv = T[row][col]
-        T[row] = [v / piv for v in T[row]]
-        for i in range(m):
-            if i != row and T[i][col] != 0:
-                f = T[i][col]
-                T[i] = [v - f * w for v, w in zip(T[i], T[row])]
-        f = z[col]
-        z = [v - f * w for v, w in zip(z, T[row])]
-        basis[row] = col
-    if z[ncols] != 0:
-        return None
-    out = [ZERO] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            out[bi] = T[i][ncols]
-    return out
-
-
-def is_convex_combination(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
-    """Is x a convex combination of `points`?  Exact."""
-    if not points:
-        return False
-    d = len(x)
-    n = len(points)
-    # rows: sum_i l_i * p_i = x, sum_i l_i = 1; variables l_i >= 0
-    rows = [[frac(points[j][i]) for j in range(n)] for i in range(d)]
-    rows.append([ONE] * n)
-    rhs = [frac(xi) for xi in x] + [ONE]
-    return feasible_nonneg(rows, rhs) is not None

@@ -1,7 +1,8 @@
-"""Seeded random generators for lattice and rational polytopes.
+"""Seeded random generators for lattice and rational polytopes, and the
+exhaustive planar corpus.
 
-Every function takes an explicit ``random.Random`` so that callers own
-reproducibility; nothing here touches global random state.
+Every random function takes an explicit ``random.Random`` so that
+callers own reproducibility; nothing here touches global random state.
 """
 
 from __future__ import annotations
@@ -66,6 +67,21 @@ def random_lattice_box(
         b = rng.randint(-bound, bound)
         intervals.append((min(a, b), max(a, b)))
     return convex_hull(itertools.product(*intervals))
+
+
+def planar_translation_classes(k: int) -> list[Polytope]:
+    """One polytope per translation class of the lattice polytopes with
+    vertices in {0..k}^2, the first hull met over the nonempty subsets of
+    the grid by size, then lexicographically; k = 2 gives 132 classes."""
+    grid = [(x, y) for x in range(k + 1) for y in range(k + 1)]
+    classes: dict[tuple, Polytope] = {}
+    for size in range(1, len(grid) + 1):
+        for subset in itertools.combinations(grid, size):
+            P = convex_hull(list(subset), lattice="Z")
+            lo = tuple(min(v[i] for v in P.vertices) for i in range(2))
+            key = tuple(sorted(tuple(c - l for c, l in zip(v, lo)) for v in P.vertices))
+            classes.setdefault(key, P)
+    return list(classes.values())
 
 
 def random_rational_polytope(

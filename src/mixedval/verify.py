@@ -54,11 +54,10 @@ from .geometry import (
     minkowski_sum,
     minkowski_sum_all,
     origin_polytope,
-    solve_in_basis,
     translate,
 )
 from .jsonio import dissection_from_json, dissection_to_json
-from .linalg import is_convex_combination, vec, vsub
+from .linalg import ONE, ZERO, frac, solve, vec, vsub
 from .positivity import (
     cylinder_lower_bound,
     decide_positive,
@@ -229,6 +228,74 @@ def _hull_idempotent(rng, dims, budget):
         if Q.vertices != P.vertices:
             return t, _fmt([P])
     return budget, None
+
+
+# LP membership, independent of the facets: the oracle of the next suite
+def feasible_nonneg(
+    rows: Sequence[Sequence], rhs: Sequence
+) -> list[Fraction] | None:
+    """Exact LP feasibility: some z >= 0 with (rows) z = rhs, or None.
+
+    Phase-one simplex with Bland's rule; small systems only.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    A = [[frac(v) for v in row] for row in rows]
+    b = [frac(v) for v in rhs]
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+    # tableau with one artificial per row
+    T = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    ncols = n + m
+    # objective: minimize the sum of artificials
+    z = [ZERO] * (ncols + 1)
+    for i in range(m):
+        z = [zi + ti for zi, ti in zip(z, T[i])]
+    while True:
+        col = next((j for j in range(n) if z[j] > 0), None)
+        if col is None:
+            break
+        best = None
+        for i in range(m):
+            if T[i][col] > 0:
+                ratio = T[i][ncols] / T[i][col]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            break
+        _, row = best
+        piv = T[row][col]
+        T[row] = [v / piv for v in T[row]]
+        for i in range(m):
+            if i != row and T[i][col] != 0:
+                f = T[i][col]
+                T[i] = [v - f * w for v, w in zip(T[i], T[row])]
+        f = z[col]
+        z = [v - f * w for v, w in zip(z, T[row])]
+        basis[row] = col
+    if z[ncols] != 0:
+        return None
+    out = [ZERO] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            out[bi] = T[i][ncols]
+    return out
+
+
+def is_convex_combination(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
+    """Is x a convex combination of `points`?  Exact."""
+    if not points:
+        return False
+    d = len(x)
+    n = len(points)
+    # rows: sum_i l_i * p_i = x, sum_i l_i = 1; variables l_i >= 0
+    rows = [[frac(points[j][i]) for j in range(n)] for i in range(d)]
+    rows.append([ONE] * n)
+    rhs = [frac(xi) for xi in x] + [ONE]
+    return feasible_nonneg(rows, rhs) is not None
 
 
 @_suite("hull-membership-consistent")
@@ -595,7 +662,7 @@ def _cylinder_factorization(rng, dims, budget):
                 basis.append(vsub(v, S.vertices[0]))
                 owners_of_col.append(j)
         rel = vsub(vec(q), vec([sum(S.vertices[0][i] for S in simplices) for i in range(d)]))
-        coeffs = solve_in_basis(basis, rel)
+        coeffs = solve([[w[i] for w in basis] for i in range(d)], rel)
         if coeffs is None:
             return checked, f"{_fmt(simplices)}: opener outside the sum's affine hull"
         checked += 1

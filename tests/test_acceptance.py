@@ -34,6 +34,7 @@ from mixedval import (
     minkowski_sum_all,
     mixed_polynomial,
     owner_matroid,
+    planar_translation_classes,
     shift_valuation,
 )
 from mixedval.samplers import random_lattice_polytope, random_nested_pair
@@ -117,15 +118,7 @@ def planar_corpus():
     """All sub-polytopes of the 3x3 lattice square up to translation,
     with the mixed value of every unordered pair."""
     started = time.monotonic()
-    grid = [(x, y) for x in range(3) for y in range(3)]
-    classes = {}
-    for size in range(1, 10):
-        for subset in itertools.combinations(grid, size):
-            P = convex_hull(list(subset), lattice="Z")
-            lo = tuple(min(v[i] for v in P.vertices) for i in range(2))
-            key = tuple(sorted(tuple(c - l for c, l in zip(v, lo)) for v in P.vertices))
-            classes.setdefault(key, P)
-    reps = list(classes.values())
+    reps = planar_translation_classes(2)
     pairs = []
     for i in range(len(reps)):
         for j in range(i, len(reps)):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -26,10 +27,10 @@ from mixedval import (
     scaled_sum,
     translate,
 )
-from mixedval.geometry import solve_in_basis
-from mixedval.linalg import vadd
+from mixedval.linalg import dot, primitive, vadd, vsub
 from mixedval.samplers import random_lattice_polytope, random_rational_polytope
 
+from . import fraction_linalg as ref
 from .conftest import hull
 from .hull_reference import brute_hull
 from .strategies import lattice_polytopes
@@ -131,12 +132,6 @@ def test_exact_volumes():
     assert exact_volume(point_polytope((1, 2))) == 0
 
 
-def test_solve_in_basis_round_trip():
-    basis = [(F(1), F(1)), (F(0), F(2))]
-    coeffs = solve_in_basis(basis, (F(3), F(7)))
-    assert coeffs == (F(3), F(2))
-
-
 def _assert_matches(P, reference, label):
     verts, facets, tights = reference
     assert P.vertices == verts, label
@@ -183,6 +178,60 @@ def test_hull_matches_the_brute_force_reference():
             Q = convex_hull([rng.choice(pts), tuple(F(1, 2) for _ in range(d))])
             sums = [vadd(p, q) for p in H.vertices for q in Q.vertices]
             _assert_matches(minkowski_sum(H, Q), brute_hull(sums), label)
+
+
+def _chart_corpus(count=1200, seed=6161):
+    """Seeded polytopes with d = 1..4: lattice, rational, and lower-dimensional
+    ones in Q^(d+1), the hull of rational points on a seeded d-flat."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 4)
+        kind = ("lattice", "rational", "lower")[len(out) % 3]
+        if kind == "lattice":
+            P = random_lattice_polytope(rng, d, max_vertices=6, bound=3)
+        elif kind == "rational":
+            P = random_rational_polytope(rng, d, max_vertices=6, bound=2)
+        else:
+            Q = random_rational_polytope(rng, d, max_vertices=5, bound=2)
+            a = [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(d)]
+            j, c = rng.randint(0, d), F(rng.randint(-2, 2), 3)
+            P = convex_hull([(*v[:j], dot(a, v) + c, *v[j:]) for v in Q.vertices])
+        out.append((kind, P))
+    return out
+
+
+def _reference_lift(basis, d):
+    """B^T (B B^T)^-1 in Fraction for the row-reduced basis B."""
+    k = len(basis)
+    G = [[dot(a, b) for b in basis] for a in basis]
+    cols = [ref.solve(G, [int(i == j) for i in range(k)]) for j in range(k)]
+    return [[sum(basis[t][i] * cols[j][t] for t in range(k)) for j in range(k)] for i in range(d)]
+
+
+def test_int_chart_matches_the_fraction_reference():
+    # Oracle: Fraction rref and nullspace of the vertex directions.
+    corpus = _chart_corpus()
+    kinds = Counter((kind, P.dim < P.ambient_dim) for kind, P in corpus)
+    assert kinds[("lower", True)] >= 400 and kinds[("lattice", False)] >= 100, kinds
+    assert kinds[("rational", False)] >= 100, kinds
+    for kind, H in corpus:
+        d = H.ambient_dim
+        # the raw constructor builds its chart from its own vertices
+        for P in (H, Polytope(d, H.vertices, H.lattice)):
+            label = (kind, P.vertices)
+            o, basis, pivots = P._chart
+            B, ref_pivots = ref.rref([vsub(v, o) for v in P.vertices[1:]])
+            assert o == P.vertices[0] and pivots == ref_pivots, label
+            assert all(type(x) is int for r in basis for x in r), label
+            assert basis == tuple(primitive(b) for b in B), label
+            equalities = [primitive(n) for n in ref.nullspace(B, d)]
+            assert P.aff_equalities == tuple(sorted((e, dot(e, o)) for e in equalities)), label
+            assert all(dot(e, v) == f for e, f in P.aff_equalities for v in P.vertices), label
+            M, L = P._lift
+            X = _reference_lift(B, d)
+            assert L > 0 and gcd(L, *(x for row in M for x in row)) == 1, label
+            assert all(m == L * x for mr, xr in zip(M, X, strict=True) for m, x in zip(mr, xr, strict=True)), label
 
 
 def _three_dimensional_sum_pairs():

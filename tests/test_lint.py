@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from typing import Callable
 
 import mixedval
 
@@ -48,20 +49,33 @@ def test_the_scan_sees_an_unused_import():
 # decorators that register what they decorate, so the definition is used
 REGISTRARS = {"_suite"}
 
+Definition = ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
 
-def _registered(node: ast.FunctionDef | ast.ClassDef) -> bool:
+
+def _registered(node: Definition) -> bool:
     return any(
         isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id in REGISTRARS
         for d in node.decorator_list
     )
 
 
-def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> set[str]:
-    """Private module-level functions and classes no module refers to.
+def _private(module: str, node: Definition) -> bool:
+    return node.name.startswith("_") and not node.name.startswith("__")
+
+
+def _linalg_function(module: str, node: Definition) -> bool:
+    return module == "linalg" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _unreferenced_definitions(
+    trees: dict[str, ast.Module], checked: Callable[[str, Definition], bool]
+) -> set[str]:
+    """Module-level functions and classes, those that checked(module,
+    definition) selects, that no module refers to.
 
     A reference is a name, an attribute or an imported name anywhere in
-    any of the modules; a definition that a registering decorator names
-    is used by that registration.
+    any of the modules, the defining one included; a definition that a
+    registering decorator names is used by that registration.
     """
     defined: set[tuple[str, str]] = set()
     used: set[str] = set()
@@ -69,8 +83,7 @@ def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> set[str]:
         for node in tree.body:
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
-                and not node.name.startswith("__")
+                and checked(module, node)
                 and not _registered(node)
             ):
                 defined.add((module, node.name))
@@ -85,9 +98,18 @@ def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> set[str]:
     return {f"{module}.{name}" for module, name in defined if name not in used}
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_no_private_function_or_class_is_left_unused():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
-    assert not _unreferenced_private_definitions(trees)
+    assert not _unreferenced_definitions(_package_trees(), _private)
+
+
+def test_no_linalg_function_is_left_unused():
+    # the kernel's public routines are internal to the package: one that
+    # no module refers to, linalg itself included, is dead code
+    assert not _unreferenced_definitions(_package_trees(), _linalg_function)
 
 
 def test_the_scan_sees_an_unused_private_function():
@@ -99,4 +121,16 @@ def test_the_scan_sees_an_unused_private_function():
         "def __getattr__(name): pass\n"
     )
     b = ast.parse("from a import _used\n_used()\n")
-    assert _unreferenced_private_definitions({"a": a, "b": b}) == {"a._dead", "a._Gone"}
+    assert _unreferenced_definitions({"a": a, "b": b}, _private) == {"a._dead", "a._Gone"}
+
+
+def test_the_scan_sees_an_unused_linalg_function():
+    linalg = ast.parse(
+        "def int_row(): pass\n"
+        "def int_rows(): return int_row()\n"
+        "def rref(): pass\n"
+        "def _dead(): pass\n"
+    )
+    geometry = ast.parse("from .linalg import int_rows\ndef rank(): pass\n")
+    trees = {"linalg": linalg, "geometry": geometry}
+    assert _unreferenced_definitions(trees, _linalg_function) == {"linalg.rref", "linalg._dead"}

@@ -1,7 +1,10 @@
 """The self-check harness: determinism, reporting, negative controls."""
 
+from fractions import Fraction as F
+
 from mixedval import available_suites, run_suite, run_suites
-from mixedval.verify import SUITES
+from mixedval.linalg import dot, vec
+from mixedval.verify import SUITES, feasible_nonneg, is_convex_combination
 
 
 def test_registry_is_complete():
@@ -91,3 +94,18 @@ def test_broken_math_is_caught_end_to_end():
     res = run_suite("misstated", trials=8, seed=1, registry=registry)
     assert not res.passed
     assert res.counterexample is not None
+
+
+def test_feasible_nonneg():
+    # x + y = 1 has a nonnegative solution; x + y = -1 does not.
+    good = feasible_nonneg([vec([1, 1])], vec([1]))
+    assert good is not None
+    assert all(c >= 0 for c in good)
+    assert dot(vec([1, 1]), good) == 1
+    assert feasible_nonneg([vec([1, 1])], vec([-1])) is None
+
+
+def test_is_convex_combination():
+    triangle = [vec([0, 0]), vec([2, 0]), vec([0, 2])]
+    assert is_convex_combination(vec([F(1, 2), F(1, 2)]), triangle)
+    assert not is_convex_combination(vec([2, 2]), triangle)
