@@ -57,7 +57,6 @@ from .jsonio import (
 )
 from . import __version__
 from .positivity import (
-    SEGMENT_CRITERION_VALUATIONS,
     cylinder_lower_bound,
     positivity_witness,
 )
@@ -217,7 +216,7 @@ def _cmd_cm(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], int]:
         results["note"] = "arity exceeds the ambient dimension, so the combination vanishes"
         lines.append(f"note: {results['note']}")
 
-    if args.valuation in SEGMENT_CRITERION_VALUATIONS:
+    if phi.segment_criterion:
         witness = positivity_witness(polys)
         results["positive"] = witness is not None
         if witness is not None:
@@ -352,7 +351,7 @@ def _cmd_positivity(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]
 
     results: dict[str, Any] = {"valuation": args.valuation, "polytopes": names}
     lines = []
-    if args.valuation in SEGMENT_CRITERION_VALUATIONS:
+    if phi.segment_criterion:
         if r > d:
             results["positive"] = False
             results["note"] = "arity exceeds the ambient dimension, so the combination vanishes"

@@ -24,9 +24,9 @@ sum n1 P1 + ... + nr Pr with every ni > 0 runs no hull: it has the
 normal fan of P1 + ... + Pr (Ziegler, Lectures on Polytopes, Prop. 7.12)
 and is read off that sum's facets.
 
-Volume, too, is integer: placing_cells triangulates the same chart
-coordinates with integer side tests, and volume_in_chart divides the
-sum of the cells' Bareiss determinants by k! D^k in one Fraction.
+Volume reads the hull's own facets: volume_in_chart pulls on P's facet
+tight sets and divides the simplices' Bareiss determinants over the same
+chart coordinates by k! D^k in one Fraction.
 
 Scale expectations: ambient dimension <= 6, vertex counts in the tens.
 A hull of 30 random lattice points in Q^4 takes about 0.02 s (Intel
@@ -269,6 +269,12 @@ class Polytope:
         return tuple(sorted(dirs))
 
     @cached_property
+    def integer_edges(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """(start, end, primitive direction) of each edge, on the int-scaled vertices."""
+        _, pts = _scaled(self.vertices)
+        return tuple((pts[i], pts[j], primitive(vsub(pts[j], pts[i]))) for i, j in self.edges)
+
+    @cached_property
     def simplex_spans(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
         """Distinct direction spans of simplices on the vertices, dim >= 1, as
         (dimension, span_key) pairs, largest first, found on the int-scaled vertices."""
@@ -299,13 +305,6 @@ class Polytope:
         for v in self.vertices[1:]:
             acc = vadd(acc, v)
         return vscale(Fraction(1, n), acc)
-
-    @cached_property
-    def bounding_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(
-            (min(v[j] for v in self.vertices), max(v[j] for v in self.vertices))
-            for j in range(self.ambient_dim)
-        )
 
     @cached_property
     def _hash(self) -> int:  # the dataclass hash, once: every cache lookup hashes P
@@ -350,10 +349,11 @@ def _span_basis(
 
 
 def _integer_chart(points: Sequence[Point], chart: Chart) -> tuple[int, list[tuple[int, ...]]]:
-    """(D, coordinates): the points in the chart, scaled by one common
-    denominator D; local coordinates are pivot entries."""
+    """(D, coordinates): the points and the chart origin scaled by one common
+    denominator D, subtracted in int; local coordinates are pivot entries."""
     o, _, pivots = chart
-    return _scaled([[p[c] - o[c] for c in pivots] for p in points])
+    D, (oi, *pts) = _scaled([o, *points])
+    return D, [tuple(p[c] - oi[c] for c in pivots) for p in pts]
 
 
 def _affine_rank(points: Sequence[Sequence[int]]) -> int:
@@ -734,16 +734,33 @@ def exact_volume(P: Polytope) -> Fraction:
 
 
 def volume_in_chart(P: Polytope) -> Fraction:
-    """Volume of P in its chart: sum |det| over placing cells / (k! D^k)."""
+    """Volume of P in its chart by a pulling triangulation (Bueler, Enge &
+    Fukuda, "Exact volume computation for polytopes", 2000): a face S
+    pulls its least vertex v and recurses into its facets that miss v,
+    and an edge closes one simplex, the pulled apexes and its two ends.
+    The facets of S are the inclusion-maximal S & t other than S and the
+    empty set, t over P's facet tight sets: some facet G of P holds a
+    facet Q of S but not S, and S & G = Q.  No side test runs, nor a hull
+    once P's facets are known; sum |det| over the int chart / (k! D^k)."""
     k = P.dim
     if k == 0:
         return Fraction(0)
     D, loc = _integer_chart(P.vertices, P._chart)
-    total = 0
-    for c in placing_cells(loc, range(len(loc))):
-        o = loc[c[0]]
-        total += abs(det([[x - y for x, y in zip(loc[i], o)] for i in c[1:]]))
-    return Fraction(total, factorial(k) * D**k)
+    tights = P.facet_tight_sets
+
+    def pull(S: frozenset[int], apexes: tuple[int, ...]) -> int:
+        if len(S) == 2:
+            o, *rest = (loc[i] for i in (*apexes, *S))
+            return abs(det([[x - y for x, y in zip(q, o)] for q in rest]))
+        v, facets, total = min(S), [], 0
+        for F in sorted({S & t for t in tights} - {S, frozenset()}, key=len, reverse=True):
+            if not any(F < G for G in facets):
+                facets.append(F)
+                if v not in F:
+                    total += pull(F, (*apexes, v))
+        return total
+
+    return Fraction(pull(frozenset(range(len(loc))), ()), factorial(k) * D**k)
 
 
 # -- faces ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "positivity_witness",
     "decide_positive",
     "cylinder_lower_bound",
-    "SEGMENT_CRITERION_VALUATIONS",
 ]
 
 LatticePoint = tuple[int, ...]
@@ -81,8 +80,7 @@ def candidate_segments(polys: Sequence[Polytope]) -> list[Segment]:
         P = _require_polytope(P)
         if not P.is_integral:
             raise LatticeMismatch("candidate segments need integer vertices")
-        for a, b in P.edges:
-            out.append(Segment.between(i, P.vertices[a], P.vertices[b]))
+        out.extend(Segment(i, (a, b), u) for a, b, u in P.integer_edges)
     return out
 
 
@@ -187,13 +185,6 @@ def _augmenting_path(
     return None
 
 
-# Valuations for which positivity of the mixed combination is a purely
-# geometric question, decided by the segment criterion.  The criterion
-# needs nonnegativity on half-open pieces and a positive value at a
-# point, which the lattice-point count has.
-SEGMENT_CRITERION_VALUATIONS = frozenset({"dvol"})
-
-
 def positivity_witness(polys: Sequence[Polytope]) -> tuple[Segment, ...] | None:
     """Lattice segments, one inside each polytope in order of owner, whose
     directions are linearly independent; None when no such pick exists.
@@ -220,11 +211,11 @@ def decide_positive(
 ) -> bool:
     """Whether the mixed combination of phi over polys is positive.
 
-    For the lattice-point count this runs the segment criterion and
-    never evaluates phi.  Any other valuation falls back to computing
-    the mixed combination and comparing with zero.
+    For the lattice-point count (phi.segment_criterion) this runs the
+    segment criterion and never evaluates phi.  Any other valuation falls
+    back to computing the mixed combination and comparing with zero.
     """
-    if phi.name not in SEGMENT_CRITERION_VALUATIONS or not polys:
+    if not phi.segment_criterion or not polys:
         return cm(phi, polys, ambient_dim=ambient_dim) > 0
     return positivity_witness(polys) is not None
 

@@ -65,6 +65,15 @@ class Valuation:
         if self.lattice_requirement not in ("Z", "Q", "any"):
             raise ValueError("lattice_requirement must be 'Z', 'Q', or 'any'")
 
+    @property
+    def segment_criterion(self) -> bool:
+        """Whether the segment criterion decides positivity of cm.  It needs
+        nonnegativity on half-open pieces and a positive value at a point,
+        as the lattice count of builtin_valuations()["dvol"] has; that is
+        told by its function, never by a name, and a derived valuation
+        (shift_valuation) wraps the function and loses it."""
+        return self.func is _lattice_count and self.lattice_requirement == "Z"
+
     def __call__(self, P) -> Fraction:
         if P is EMPTY:
             return Fraction(0)
@@ -76,15 +85,17 @@ class Valuation:
         return frac(self.func(P))
 
 
+def _lattice_count(P: Polytope) -> Fraction:
+    return Fraction(count_lattice_points(P))
+
+
 def builtin_valuations() -> dict[str, Valuation]:
     """The stock valuations, keyed by the names the CLI accepts."""
     # The unsigned interior count is not a valuation: [0,2] splits into
     # two unit segments sharing a point, giving 1 on the left and
     # 0 + 0 - 1 on the right.  The sign (-1)^dim fixes this.
     return {
-        "dvol": Valuation(
-            "dvol", lambda P: Fraction(count_lattice_points(P)), "Z"
-        ),
+        "dvol": Valuation("dvol", _lattice_count, "Z"),
         "vol": Valuation("vol", exact_volume),
         "euler": Valuation("euler", lambda P: Fraction(1)),
         "interior": Valuation(

@@ -21,6 +21,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .counting import (
+    _box,
     count_half_open,
     count_lattice_points,
     euler_relint_value,
@@ -439,11 +440,10 @@ def _mixed_additive(rng, dims, budget):
     for t in range(budget):
         d = max(2, _dim(rng, dims))
         box = random_lattice_box(rng, d, bound=3)
-        axis = max(range(d), key=lambda i: box.bounding_box[i][1] - box.bounding_box[i][0])
-        lo, hi = box.bounding_box[axis]
+        axis, (lo, hi) = max(enumerate(_box(box)), key=lambda t: t[1][1] - t[1][0])
         if hi - lo < 2:
             continue
-        c = rng.randint(int(lo) + 1, int(hi) - 1)
+        c = rng.randint(lo + 1, hi - 1)
         normal = tuple(1 if i == axis else 0 for i in range(d))
         left = cut_halfspace(box, normal, Fraction(c))
         right = cut_halfspace(box, tuple(-a for a in normal), Fraction(-c))

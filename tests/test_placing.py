@@ -1,12 +1,23 @@
-"""The integer placing triangulation and volume against a Fraction reference."""
+"""The integer placing triangulation and the pulling volume against a
+Fraction reference."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from mixedval import convex_hull
-from mixedval.geometry import placing_cells, volume_in_chart
+from mixedval import (
+    Polytope,
+    convex_hull,
+    exact_volume,
+    minkowski_sum_all,
+    placing_triangulation,
+    scaled_sum,
+)
+from mixedval import dissections, geometry
+from mixedval.geometry import _scaled, placing_cells, volume_in_chart
 from mixedval.linalg import det, dot, is_zero, vec, vsub
+from mixedval.samplers import random_lattice_polytope, random_rational_polytope
 
 from .fraction_linalg import nullspace, solve
 
@@ -135,6 +146,110 @@ def test_placing_cells_and_volume_match_the_fraction_reference():
             cells = _reference_cells(loc, range(len(loc)))
         assert volume_in_chart(P) == _reference_volume(loc, cells, P.dim), label
     assert sum(kinds.values()) >= 2000 and set(kinds) == {"lattice", "rational", "grid", "lower"}
+
+
+def _volume_corpus(count=1200, seed=8311):
+    """Seeded polytopes with d = 1..5, in turn: lattice and rational hulls,
+    Minkowski sums, scaled sums (tight sets from the rescaling), copies
+    built by the raw constructor (facets from their own hull) and
+    lower-dimensional hulls in Q^(d+1) on a seeded d-flat."""
+    rng = random.Random(seed)
+    kinds = ("lattice", "rational", "sum", "scaled", "raw", "lower")
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 5)
+        nv, r = (5, 3) if d <= 2 else (4, 2)
+        kind = kinds[len(out) % len(kinds)]
+
+        def summand(nv=nv):
+            if rng.random() < 0.5:
+                return random_lattice_polytope(rng, d, max_vertices=nv, bound=3)
+            return random_rational_polytope(rng, d, max_vertices=nv, bound=2)
+
+        if kind == "lattice":
+            P = random_lattice_polytope(rng, d, max_vertices=d + 4, bound=3)
+        elif kind == "rational":
+            P = random_rational_polytope(rng, d, max_vertices=d + 4, bound=2)
+        elif kind == "sum":
+            P = minkowski_sum_all([summand() for _ in range(rng.randint(2, r))])
+        elif kind == "scaled":
+            parts = [summand() for _ in range(rng.randint(2, r))]
+            P = scaled_sum(parts, [rng.randint(1, 3) for _ in parts])
+        elif kind == "raw":
+            H = summand(d + 3)
+            P = Polytope(H.ambient_dim, H.vertices, H.lattice)
+        else:
+            Q = summand()
+            a = [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(d)]
+            j, c = rng.randint(0, d), F(rng.randint(-2, 2), 3)
+            P = convex_hull([(*v[:j], dot(a, v) + c, *v[j:]) for v in Q.vertices])
+        out.append((kind, P))
+    return out
+
+
+def _fraction_chart(points, chart):
+    """The chart coordinates by Fraction differences, scaled afterwards."""
+    o, _, pivots = chart
+    return _scaled([[p[c] - o[c] for c in pivots] for p in points])
+
+
+def test_pulling_volume_matches_the_fraction_placing_reference():
+    corpus = _volume_corpus()
+    kinds = Counter((kind, P.dim < P.ambient_dim) for kind, P in corpus)
+    assert all(kinds[(kind, False)] >= 80 for kind in ("lattice", "rational", "sum", "scaled", "raw"))
+    assert kinds[("lower", True)] >= 150, kinds
+    assert sum(1 for _, P in corpus if P.dim >= 4) >= 150
+    for kind, P in corpus:
+        label = (kind, P.vertices)
+        o, _, pivots = P._chart
+        loc = [tuple(v[c] - o[c] for c in pivots) for v in P.vertices]
+        expected = _reference_volume(loc, _reference_cells(loc, range(len(loc))), P.dim)
+        assert volume_in_chart(P) == expected, label
+        assert exact_volume(P) == (expected if P.dim == P.ambient_dim else 0), label
+
+
+def test_volume_of_a_sum_with_cached_facets_runs_no_placing_and_no_hull(monkeypatch):
+    rng = random.Random(5)
+    sums = []
+    for d in (2, 3, 4):
+        parts = [random_lattice_polytope(rng, d, max_vertices=5, bound=2, full_dim=True) for _ in range(2)]
+        sums += [minkowski_sum_all(parts), scaled_sum(parts, [2, 3])]
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(geometry, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(geometry, "placing_cells", counted("placing_cells"))
+    monkeypatch.setattr(geometry, "_hull", counted("_hull"))
+    assert all(exact_volume(S) > 0 for S in sums)
+    assert not calls
+    # the counters do see a raw-constructed polytope hull its own vertices
+    S = sums[-1]
+    assert exact_volume(Polytope(S.ambient_dim, S.vertices, S.lattice)) == exact_volume(S)
+    assert calls == {"_hull": 1}
+
+
+def test_int_chart_coordinates_give_the_fraction_chart_results(monkeypatch):
+    corpus = _volume_corpus(count=300, seed=8312)
+
+    def results():
+        out = []
+        for _, P in corpus:
+            R = Polytope(P.ambient_dim, P.vertices, P.lattice)
+            cells = [c.cell.vertices for c in placing_triangulation(R).cells]
+            out.append((R.facets, R.facet_tight_sets, volume_in_chart(R), cells))
+        return out
+
+    int_chart = results()
+    for module in (geometry, dissections):
+        monkeypatch.setattr(module, "_integer_chart", _fraction_chart)
+    assert int_chart == results()
 
 
 def test_det_matches_fraction_elimination():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from mixedval import (
     DimensionMismatch,
     LatticeMismatch,
-    SEGMENT_CRITERION_VALUATIONS,
     MatroidOracle,
     Segment,
+    Valuation,
     builtin_valuations,
     candidate_segments,
     cm,
@@ -24,6 +24,7 @@ from mixedval import (
     point_polytope,
     positivity_witness,
     scale,
+    shift_valuation,
 )
 from mixedval.linalg import rank, vec
 
@@ -34,8 +35,20 @@ F = Fraction
 DVOL = builtin_valuations()["dvol"]
 
 
-def test_allowlist_is_just_the_lattice_count():
-    assert SEGMENT_CRITERION_VALUATIONS == frozenset({"dvol"})
+def test_only_the_builtin_lattice_count_takes_the_segment_criterion(unit_square):
+    table = builtin_valuations()
+    assert {name for name, phi in table.items() if phi.segment_criterion} == {"dvol"}
+    assert not shift_valuation(DVOL, unit_square).segment_criterion
+    assert not Valuation("dvol", lambda P: 0, "Z").segment_criterion
+    # the lattice count itself, on a domain the criterion says nothing about
+    assert not Valuation("dvol", DVOL.func, "any").segment_criterion
+
+
+def test_an_impostor_named_dvol_gets_its_own_cm(e1_segment, e2_segment):
+    impostor = Valuation("dvol", lambda P: 0, "Z")
+    polys = [e1_segment, e2_segment]
+    assert cm(impostor, polys) == 0 and not decide_positive(impostor, polys)
+    assert decide_positive(DVOL, polys)
 
 
 def test_segment_construction():
