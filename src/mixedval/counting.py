@@ -1,12 +1,15 @@
 """Lattice point enumeration for closed and half-open polytopes.
 
 One fiber scanner serves counts, enumeration and relative interiors.
-It scans the integer bounding box fiber by fiber: the first d-1
-coordinates are enumerated and the last coordinate's feasible interval
-is solved from the integerized constraint system.  A count adds up the
-fiber lengths (and is cached), an enumeration expands each fiber.
-Everything is exact integer arithmetic; boxes stay small at desk scale
-(<= 10^6 points).
+It takes an integer constraint system and an integer box, and scans the
+box fiber by fiber: the first d-1 coordinates are enumerated and the
+last coordinate's feasible interval is solved from the constraints.  A
+count adds up the fiber lengths, an enumeration expands each fiber.
+_system builds the constraint system and the box of a half-open
+polytope from its facets and vertices, and count_half_open caches its
+counts; the dissections build both for rescaled cells from int support
+numbers and run the same scanner.  Everything is exact integer
+arithmetic; boxes stay small at desk scale (<= 10^6 points).
 
 A half-open polytope is a base polytope with a subset of facets removed,
 i.e. those inequalities become strict.  The relative interior is the
@@ -30,8 +33,10 @@ from .geometry import (
 )
 from .linalg import dot, vec
 
-# (coefficients, rhs): sum a_i x_i <= b over the integers
-Constraint = tuple[tuple[int, ...], int]
+# (head, last, rhs): <head, prefix> + last * x <= rhs over the integers,
+# for x the last coordinate and prefix the others
+Constraint = tuple[tuple[int, ...], int, int]
+Box = list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -71,28 +76,30 @@ def closed(P: Polytope) -> HalfOpenPolytope:
     return HalfOpenPolytope(P, frozenset())
 
 
-def _constraints(H: HalfOpenPolytope) -> list[Constraint] | None:
-    """Integerized constraint system, or None when no lattice point can exist."""
+def _system(H: HalfOpenPolytope) -> tuple[list[Constraint], Box] | None:
+    """The integerized constraint system of H and its integer box, or None
+    when no lattice point can exist."""
     base = H.base
     out: list[Constraint] = []
     for e, f in base.aff_equalities:
         if f.denominator != 1:
             return None
-        fi = int(f)
-        out.append((e, fi))
-        out.append((tuple(-c for c in e), -fi))
+        fi = f.numerator
+        out.append((e[:-1], e[-1], fi))
+        out.append((tuple(-c for c in e[:-1]), -e[-1], -fi))
     for i, fct in enumerate(base.facets):
-        b = fct.offset
+        b, a = fct.offset, fct.normal
         if i in H.removed:
             # a.x < b over integers: a.x <= ceil(b) - 1
             rhs = -((-b.numerator) // b.denominator) - 1
         else:
             rhs = b.numerator // b.denominator  # floor(b)
-        out.append((fct.normal, rhs))
-    return out
+        out.append((a[:-1], a[-1], rhs))
+    box = _box(base)
+    return None if box is None else (out, box)
 
 
-def _box(P: Polytope) -> list[tuple[int, int]] | None:
+def _box(P: Polytope) -> Box | None:
     """The integer box: ceil(min / D) and floor(max / D) per coordinate
     of the vertices scaled by their common denominator D."""
     D, pts = _scaled(P.vertices)
@@ -105,21 +112,15 @@ def _box(P: Polytope) -> list[tuple[int, int]] | None:
     return out
 
 
-def _fibers(H: HalfOpenPolytope) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Nonempty fibers (prefix, lo, hi) of H, lexicographic order: the
-    lattice points of H are prefix + (x,) for lo <= x <= hi."""
-    cons = _constraints(H)
-    if cons is None:
-        return
-    box = _box(H.base)
-    if box is None:
-        return
+def _fibers(cons: Sequence[Constraint], box: Box) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Nonempty fibers (prefix, lo, hi) of the lattice points of the box
+    that satisfy cons, lexicographic order: those points are prefix + (x,)
+    for lo <= x <= hi."""
     prefix_ranges = [range(lo, hi + 1) for lo, hi in box[:-1]]
     last_lo, last_hi = box[-1]
-    split = [(a[:-1], a[-1], b) for a, b in cons]
     for prefix in product(*prefix_ranges):
         lo, hi = last_lo, last_hi
-        for head, ad, b in split:
+        for head, ad, b in cons:
             r = b - sum(map(mul, head, prefix))
             if ad == 0:
                 if r < 0:
@@ -138,6 +139,11 @@ def _fibers(H: HalfOpenPolytope) -> Iterator[tuple[tuple[int, ...], int, int]]:
             yield prefix, lo, hi
 
 
+def _fiber_count(cons: Sequence[Constraint], box: Box) -> int:
+    """Number of lattice points of the box that satisfy cons."""
+    return sum(hi - lo + 1 for _, lo, hi in _fibers(cons, box))
+
+
 def _relint(P: Polytope) -> HalfOpenPolytope:
     P = _require_polytope(P)
     return HalfOpenPolytope(P, frozenset(range(len(P.facets))))
@@ -145,7 +151,10 @@ def _relint(P: Polytope) -> HalfOpenPolytope:
 
 def half_open_points(H: HalfOpenPolytope) -> list[tuple[int, ...]]:
     """Lattice points of a half-open polytope, lexicographic order."""
-    return [prefix + (x,) for prefix, lo, hi in _fibers(H) for x in range(lo, hi + 1)]
+    system = _system(H)
+    if system is None:
+        return []
+    return [prefix + (x,) for prefix, lo, hi in _fibers(*system) for x in range(lo, hi + 1)]
 
 
 def lattice_points(P: Polytope) -> list[tuple[int, ...]]:
@@ -161,7 +170,8 @@ def relint_points(P: Polytope) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=1 << 18)
 def count_half_open(H: HalfOpenPolytope) -> int:
     """Number of lattice points of a half-open polytope (cached)."""
-    return sum(hi - lo + 1 for _, lo, hi in _fibers(H))
+    system = _system(H)
+    return 0 if system is None else _fiber_count(*system)
 
 
 def count_lattice_points(P: Polytope) -> int:

@@ -4,8 +4,12 @@ A dissection covers a polytope by full-dimensional cells meeting only in
 boundaries.  Making each cell half-open (dropping the facets visible
 from a fixed generic point) turns the cover into an exact partition of
 lattice points, which is what every certificate here counts.  Cells are
-remembered as Minkowski sums so they can be rescaled one summand at a
-time.
+remembered as Minkowski sums, and a cell rescaled summand-wise by n is
+counted without building it: support functions add, so the facets and
+equalities of the plain sum cut out n1 S1 + ... + nr Sr with right-hand
+sides that are int combinations of per-summand support numbers, computed
+once per cell (and once per certificate target) over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
-from .counting import HalfOpenPolytope, count_half_open, count_lattice_points
+from .counting import HalfOpenPolytope, _fiber_count, count_half_open
 from .geometry import (
     EMPTY,
     CertificateError,
@@ -31,13 +36,14 @@ from .geometry import (
     _integer_chart,
     _lattice_tag,
     _require_polytope,
+    _scaled,
     contains,
     convex_hull,
     dilate,
     hyperplane_section,
     minkowski_sum_all,
+    origin_polytope,
     placing_cells,
-    scaled_sum,
     translate,
 )
 from .linalg import dot, is_zero, primitive, vadd, vec
@@ -123,13 +129,126 @@ def direction_matching_point(P: Polytope, q: Sequence) -> tuple[int, ...]:
 def _face_index(P: Polytope, a: tuple[int, ...]) -> int:
     """Index of the facet of P whose vertex set maximizes <a, .>; the
     maximizing face must actually be a facet."""
-    vals = [dot(a, v) for v in P.vertices]
+    _, pts = _scaled(P.vertices)
+    vals = [sum(map(mul, a, v)) for v in pts]
     mx = max(vals)
     tight = frozenset(t for t, v in enumerate(vals) if v == mx)
     idx = P.facet_by_tight_set.get(tight)
     if idx is None:
         raise CertificateError("maximizing face is not a facet")
     return idx
+
+
+class _Support:
+    """Int support numbers of summands S1..Sr, their vertices scaled by one
+    common denominator D (`blocks`), on the rows of their plain sum T: for
+    each facet normal a of T, <a, .>'s max and min on each summand; for
+    each equality row e of aff(T), <e, .>'s value on each summand; for each
+    coordinate, its min and max on each summand.  Rows are split as the
+    scanner takes them, the last coefficient apart."""
+
+    def __init__(self, T: Polytope, D: int, blocks: Sequence[Sequence[tuple[int, ...]]]):
+        self.D = D
+        self.facets = []
+        for f in T.facets:
+            a = f.normal
+            vals = [[sum(map(mul, a, v)) for v in pts] for pts in blocks]
+            self.facets.append((a[:-1], a[-1], tuple(map(max, vals)), tuple(map(min, vals))))
+        self.equalities = [
+            (e[:-1], e[-1], tuple(-x for x in e[:-1]), tuple(sum(map(mul, e, pts[0])) for pts in blocks))
+            for e, _ in T.aff_equalities
+        ]
+        cols = [tuple(zip(*pts)) for pts in blocks]
+        self.box = [
+            (tuple(min(c[i]) for c in cols), tuple(max(c[i]) for c in cols))
+            for i in range(T.ambient_dim)
+        ]
+
+    def count(self, n: Sequence[int], removed: frozenset[int]) -> int:
+        """Lattice points of n1 S1 + ... + nr Sr, every ni > 0, with the
+        facets indexed by `removed` strict.  That polytope has T's normal
+        fan (Ziegler, Lectures on Polytopes, Prop. 7.12), and its support
+        function is the n-combination of the summands': each facet row is
+        <a, x> <= sum ni h_i / D, each equality row <e, x> = sum ni e_i / D
+        (no lattice point unless D divides it), and the box is the
+        n-combination of the summands' boxes."""
+        D = self.D
+        cons = []
+        for head, last, neg, vals in self.equalities:
+            s, r = divmod(sum(map(mul, n, vals)), D)
+            if r:
+                return 0
+            cons += ((head, last, s), (neg, -last, -s))
+        for i, (head, last, highs, _) in enumerate(self.facets):
+            s = sum(map(mul, n, highs))
+            # a.x < s / D over integers: a.x <= ceil(s / D) - 1
+            cons.append((head, last, -(-s // D) - 1 if i in removed else s // D))
+        box = []
+        for lows, highs in self.box:
+            lo, hi = -(-sum(map(mul, n, lows)) // D), sum(map(mul, n, highs)) // D
+            if lo > hi:
+                return 0
+            box.append((lo, hi))
+        return _fiber_count(cons, box)
+
+
+class _Rescaling:
+    """Counts of n1 S1 + ... + nr Sr for one family of summands, half-open
+    on the facets `removed` of their plain sum `whole`.
+
+    One _Support per support pattern J = {j : nj > 0}, built on first use.
+    With every nj > 0 it is the table of `whole`, whose facet indices
+    carry over.  Otherwise the sum drops the summands outside J: the table
+    is built on their cached plain sum, a removed facet goes to the facet
+    of that sum maximizing its normal, and a removed facet whose owner is
+    outside J empties the count, since its strict side collapses to a
+    constant constraint that fails.
+    """
+
+    def __init__(
+        self, summands: Sequence[Polytope], whole: Polytope, removed: frozenset[int] = frozenset()
+    ):
+        self.summands, self.whole, self.removed = tuple(summands), whole, removed
+        self.D, ints = _scaled([v for S in self.summands for v in S.vertices])
+        it = iter(ints)
+        self.blocks = [[next(it) for _ in S.vertices] for S in self.summands]
+        self.support = _Support(whole, self.D, self.blocks)
+        self.tables: dict[tuple[int, ...], tuple[_Support, frozenset[int]] | None] = {
+            tuple(range(len(self.summands))): (self.support, removed)
+        }
+
+    @cached_property
+    def owners(self) -> tuple[int, ...]:
+        """For each facet of `whole`, the unique summand whose face in that
+        direction is proper."""
+        out = []
+        for _, _, highs, lows in self.support.facets:
+            moving = [j for j, (h, l) in enumerate(zip(highs, lows)) if h != l]
+            if not moving:
+                raise InexactSum("facet attribution failed")
+            if len(moving) > 1:
+                raise InexactSum("facet attribution is ambiguous")
+            out.append(moving[0])
+        return tuple(out)
+
+    def _pattern(self, J: tuple[int, ...]) -> tuple[_Support, frozenset[int]] | None:
+        if any(self.owners[i] not in J for i in self.removed):
+            return None
+        parts = [self.summands[j] for j in J]
+        T = minkowski_sum_all(parts) if parts else origin_polytope(self.whole.ambient_dim)
+        removed = frozenset(_face_index(T, self.whole.facets[i].normal) for i in self.removed)
+        return _Support(T, self.D, [self.blocks[j] for j in J]), removed
+
+    def count(self, n: tuple[int, ...]) -> int:
+        """The count at a checked dilation vector n."""
+        J = tuple(j for j, k in enumerate(n) if k)
+        if J not in self.tables:
+            self.tables[J] = self._pattern(J)
+        entry = self.tables[J]
+        if entry is None:
+            return 0
+        table, removed = entry
+        return table.count([n[j] for j in J], removed)
 
 
 @dataclass(frozen=True)
@@ -156,22 +275,14 @@ class MixedCell:
         return self.cell.dim == sum(R.dim for R in self.summands)
 
     @cached_property
+    def _rescaling(self) -> _Rescaling:
+        return _Rescaling(self.summands, self.cell, self.removed)
+
+    @property
     def owners(self) -> tuple[int, ...]:
         """For each facet of the cell, the unique summand whose face in
         that direction is proper."""
-        out = []
-        for f in self.cell.facets:
-            owner = None
-            for j, R in enumerate(self.summands):
-                vals = [dot(f.normal, v) for v in R.vertices]
-                if min(vals) != max(vals):
-                    if owner is not None:
-                        raise InexactSum("facet attribution is ambiguous")
-                    owner = j
-            if owner is None:
-                raise InexactSum("facet attribution failed")
-            out.append(owner)
-        return tuple(out)
+        return self._rescaling.owners
 
     def half_open(self) -> HalfOpenPolytope:
         return HalfOpenPolytope(self.cell, self.removed)
@@ -190,20 +301,6 @@ class MixedCell:
             if self.owners[i] == j:
                 idx.add(_face_index(R, self.cell.facets[i].normal))
         return HalfOpenPolytope(R, frozenset(idx))
-
-    def scaled_half_open(self, n: Sequence[int]) -> HalfOpenPolytope | None:
-        """The cell rescaled summand-wise by n, half-open state carried
-        along; None when a removed facet's owner collapses to a point,
-        which empties the strict side of a now-constant constraint."""
-        n = _dilation_vector(n, len(self.summands))
-        removed_normals = []
-        for i in sorted(self.removed):
-            if n[self.owners[i]] == 0:
-                return None
-            removed_normals.append(self.cell.facets[i].normal)
-        scaled = scaled_sum(self.summands, n)
-        idx = frozenset(_face_index(scaled, a) for a in removed_normals)
-        return HalfOpenPolytope(scaled, idx)
 
 
 @dataclass(frozen=True)
@@ -224,13 +321,24 @@ class Dissection:
     def cell_counts(self) -> list[int]:
         return [c.count() for c in self.cells]
 
+    @cached_property
+    def _target_rescaling(self) -> _Rescaling:
+        """Counts of n1 P1 + ... + nr Pr for the factors Pi."""
+        return _Rescaling(self.factors, minkowski_sum_all(self.factors))
+
+
+def _sides(c: MixedCell, Dq: int, qi: Sequence[int]) -> list[int]:
+    """For each facet <a, x> <= b of the cell, the sign of <a, q> - b for
+    the point q = qi / Dq, as <a, qi> den(b) - num(b) Dq in int."""
+    return [
+        sum(map(mul, f.normal, qi)) * f.offset.denominator - f.offset.numerator * Dq
+        for f in c.cell.facets
+    ]
+
 
 def _has_tie(cells: Sequence[MixedCell], q: Sequence[Fraction]) -> bool:
-    for c in cells:
-        for f in c.cell.facets:
-            if dot(f.normal, q) == f.offset:
-                return True
-    return False
+    Dq, (qi,) = _scaled([q])
+    return any(0 in _sides(c, Dq, qi) for c in cells)
 
 
 def generic_opener(
@@ -259,26 +367,23 @@ def open_dissection(
 
     Without q a seeded generic interior point of the target is drawn,
     making the half-open target closed, so the cell counts add up to the
-    plain lattice-point count.  An explicit q on any cell facet
-    hyperplane raises NotGeneric.
+    plain lattice-point count.  An explicit q must have the target's
+    ambient dimension; one on any cell facet hyperplane raises NotGeneric.
     """
-    if q is not None:
-        qv = vec(q)
-        if _has_tie(D.cells, qv):
-            raise NotGeneric("opening point lies on a cell facet hyperplane")
-    else:
+    if q is None:
         qv = vec(generic_opener(D.target, D.cells, seed=seed))
-    cells = tuple(
-        c.with_removed(
-            frozenset(
-                i
-                for i, f in enumerate(c.cell.facets)
-                if dot(f.normal, qv) > f.offset
-            )
-        )
-        for c in D.cells
-    )
-    return Dissection(D.target, cells, tuple(qv), D.factors)
+    else:
+        qv = vec(q)
+        if len(qv) != D.target.ambient_dim:
+            raise DimensionMismatch("opening point has the wrong dimension")
+    Dq, (qi,) = _scaled([qv])
+    cells = []
+    for c in D.cells:
+        sides = _sides(c, Dq, qi)
+        if 0 in sides:
+            raise NotGeneric("opening point lies on a cell facet hyperplane")
+        cells.append(c.with_removed(frozenset(i for i, s in enumerate(sides) if s > 0)))
+    return Dissection(D.target, tuple(cells), tuple(qv), D.factors)
 
 
 def certify_dissection(D: Dissection) -> int:
@@ -300,28 +405,30 @@ def dilated_cell_counts(D: Dissection, n: Sequence[int]) -> list[int]:
     """Half-open lattice counts of every cell rescaled summand-wise by n.
 
     Needs a factored, opened dissection.  The counts add up to the
-    lattice-point count of n1 P1 + ... + nr Pr.
+    lattice-point count of n1 P1 + ... + nr Pr.  No rescaled cell is
+    built: each cell counts from its int support numbers.
     """
     if D.factors is None:
         raise ValueError("dissection does not track factors")
     if D.opener is None:
         raise ValueError("dissection has no half-open state; open it first")
     n = _dilation_vector(n, len(D.factors))
-    out = []
-    for c in D.cells:
-        H = c.scaled_half_open(n)
-        out.append(0 if H is None else count_half_open(H))
-    return out
+    return [c._rescaling.count(n) for c in D.cells]
 
 
 def certify_dilations(D: Dissection, samples: Iterable[Sequence[int]]) -> None:
-    """Check the rescaled certificate at every sample vector."""
+    """Check the rescaled certificate at every sample vector; a failure
+    carries the dilation and the expected and actual totals."""
     for n in samples:
+        n = tuple(n)
         total = sum(dilated_cell_counts(D, n))
-        expect = count_lattice_points(scaled_sum(D.factors, n))
+        expect = D._target_rescaling.count(n)
         if total != expect:
             raise CertificateError(
-                f"scaled cells count {total} at {tuple(n)}, the target {expect}"
+                f"scaled cells count {total} at {n}, the target {expect}",
+                dilation=n,
+                expected=expect,
+                actual=total,
             )
 
 
@@ -568,7 +675,7 @@ class DifferenceCertificate:
     inner_cells: tuple[int, ...]
     difference_cells: tuple[int, ...]
 
-    @property
+    @cached_property
     def inner_dissection(self) -> Dissection:
         cells = tuple(self.dissection.cells[k] for k in self.inner_cells)
         return Dissection(
@@ -641,24 +748,25 @@ def difference_counts(
 ) -> list[int]:
     """Rescaled half-open counts of the difference cells."""
     n = _dilation_vector(n, len(cert.outer_factors))
-    out = []
-    for k in cert.difference_cells:
-        H = cert.dissection.cells[k].scaled_half_open(n)
-        out.append(0 if H is None else count_half_open(H))
-    return out
+    cells = cert.dissection.cells
+    return [cells[k]._rescaling.count(n) for k in cert.difference_cells]
 
 
 def certify_difference(
     cert: DifferenceCertificate, samples: Iterable[Sequence[int]]
 ) -> None:
     """Check that the difference cells count exactly the lattice points
-    the outer scaled sum has over the inner one, at every sample."""
+    the outer scaled sum has over the inner one, at every sample; a
+    failure carries the dilation and the expected and actual totals."""
     for n in samples:
+        n = tuple(n)
         total = sum(difference_counts(cert, n))
-        expect = count_lattice_points(
-            scaled_sum(cert.outer_factors, n)
-        ) - count_lattice_points(scaled_sum(cert.inner_factors, n))
+        outer = cert.dissection._target_rescaling.count(n)
+        expect = outer - cert.inner_dissection._target_rescaling.count(n)
         if total != expect:
             raise CertificateError(
-                f"difference cells count {total} at {tuple(n)}, expected {expect}"
+                f"difference cells count {total} at {n}, expected {expect}",
+                dilation=n,
+                expected=expect,
+                actual=total,
             )

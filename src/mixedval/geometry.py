@@ -100,7 +100,15 @@ class NotGeneric(GeometryError):
 
 
 class CertificateError(AssertionError):
-    """An exact self-check (volume, count, or partition certificate) failed."""
+    """An exact self-check (volume, count, or partition certificate) failed.
+
+    The dilation and difference certificates also set `dilation`, the
+    vector checked, and `expected` and `actual`, the two totals; other
+    checks leave them None."""
+
+    def __init__(self, message: str, *, dilation=None, expected=None, actual=None):
+        super().__init__(message)
+        self.dilation, self.expected, self.actual = dilation, expected, actual
 
 
 class _Empty:
@@ -737,7 +745,8 @@ def volume_in_chart(P: Polytope) -> Fraction:
     """Volume of P in its chart by a pulling triangulation (Bueler, Enge &
     Fukuda, "Exact volume computation for polytopes", 2000): a face S
     pulls its least vertex v and recurses into its facets that miss v,
-    and an edge closes one simplex, the pulled apexes and its two ends.
+    and a simplex face (an edge at the latest) closes one simplex, the
+    pulled apexes and its vertices; a simplex P is its own base case.
     The facets of S are the inclusion-maximal S & t other than S and the
     empty set, t over P's facet tight sets: some facet G of P holds a
     facet Q of S but not S, and S & G = Q.  No side test runs, nor a hull
@@ -746,14 +755,13 @@ def volume_in_chart(P: Polytope) -> Fraction:
     if k == 0:
         return Fraction(0)
     D, loc = _integer_chart(P.vertices, P._chart)
-    tights = P.facet_tight_sets
 
     def pull(S: frozenset[int], apexes: tuple[int, ...]) -> int:
-        if len(S) == 2:
+        if len(S) + len(apexes) == k + 1:  # S is a simplex face
             o, *rest = (loc[i] for i in (*apexes, *S))
             return abs(det([[x - y for x, y in zip(q, o)] for q in rest]))
         v, facets, total = min(S), [], 0
-        for F in sorted({S & t for t in tights} - {S, frozenset()}, key=len, reverse=True):
+        for F in sorted({S & t for t in P.facet_tight_sets} - {S, frozenset()}, key=len, reverse=True):
             if not any(F < G for G in facets):
                 facets.append(F)
                 if v not in F:

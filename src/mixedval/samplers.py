@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 from .counting import lattice_points
-from .geometry import Polytope, convex_hull
-from .linalg import Vec
+from .geometry import Polytope, _scaled, convex_hull
+from .linalg import Vec, rational
 
 
 def random_lattice_polytope(
@@ -126,14 +127,13 @@ def random_relint_point(
     """A random point in the relative interior of P, exact.
 
     Positive convex combinations of all vertices stay strictly inside
-    every proper face, so no rejection is needed.
+    every proper face, so no rejection is needed.  The combination is
+    summed in int over the vertices scaled by their common denominator.
     """
-    weights = [Fraction(rng.randint(1, weight_bound)) for _ in P.vertices]
-    total = sum(weights)
-    return tuple(
-        sum(w * v[i] for w, v in zip(weights, P.vertices)) / total
-        for i in range(P.ambient_dim)
-    )
+    weights = [rng.randint(1, weight_bound) for _ in P.vertices]
+    D, pts = _scaled(P.vertices)
+    total = sum(weights) * D
+    return tuple(rational(sum(map(mul, weights, col)), total) for col in zip(*pts))
 
 
 def random_direction(

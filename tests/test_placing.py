@@ -235,6 +235,36 @@ def test_volume_of_a_sum_with_cached_facets_runs_no_placing_and_no_hull(monkeypa
     assert calls == {"_hull": 1}
 
 
+def test_the_volume_of_a_raw_simplex_is_one_determinant(monkeypatch):
+    """A raw-constructed k-simplex (a dissection cell) needs no facets."""
+    rng = random.Random(9191)
+    simplices = []
+    while len(simplices) < 400:
+        d = rng.randint(1, 5)
+        k = rng.randint(1, d)
+        if len(simplices) % 2:
+            pts = {
+                tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(d))
+                for _ in range(k + 1)
+            }
+        else:
+            pts = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k + 1)}
+        verts = tuple(sorted(vec(p) for p in pts))
+        S = Polytope(d, verts, "Z" if all(x.denominator == 1 for v in verts for x in v) else "Q")
+        if len(verts) == k + 1 and S.dim == k:
+            simplices.append(S)
+    assert sum(S.dim < S.ambient_dim for S in simplices) >= 100
+    calls = Counter()
+    real = geometry._hull
+    monkeypatch.setattr(geometry, "_hull", lambda *a: calls.update(["_hull"]) or real(*a))
+    for S in simplices:
+        o, _, pivots = S._chart
+        loc = [tuple(v[c] - o[c] for c in pivots) for v in S.vertices]
+        expected = _reference_volume(loc, _reference_cells(loc, range(len(loc))), S.dim)
+        assert volume_in_chart(S) == expected, S.vertices
+    assert not calls
+
+
 def test_int_chart_coordinates_give_the_fraction_chart_results(monkeypatch):
     corpus = _volume_corpus(count=300, seed=8312)
 

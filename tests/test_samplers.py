@@ -1,8 +1,9 @@
 """Seeded random generators used by the self-checks and experiments."""
 
 import random
+from fractions import Fraction
 
-from mixedval import contains
+from mixedval import contains, convex_hull
 from mixedval.samplers import (
     random_direction,
     random_lattice_box,
@@ -66,6 +67,35 @@ def test_relint_point_lies_inside(rng):
         assert all(
             sum(a * x for a, x in zip(f.normal, q)) != f.offset for f in P.facets
         )
+
+
+def _fraction_relint_point(rng, P, weight_bound):
+    """The Fraction formula: sum w_t v_t / sum w_t, Fraction weights."""
+    weights = [Fraction(rng.randint(1, weight_bound)) for _ in P.vertices]
+    total = sum(weights)
+    return tuple(sum(w * v[i] for w, v in zip(weights, P.vertices)) / total for i in range(P.ambient_dim))
+
+
+def test_relint_point_matches_the_fraction_formula():
+    rng = random.Random(2718)
+    kinds = set()
+    for t in range(600):
+        d = rng.randint(1, 4)
+        if t % 3 == 0:
+            P = random_lattice_polytope(rng, d, max_vertices=d + 3, bound=3)
+        elif t % 3 == 1:
+            P = random_rational_polytope(rng, d, max_vertices=d + 3, bound=2, max_denominator=5)
+        else:  # on a rational hyperplane of Q^(d+1)
+            Q = random_rational_polytope(rng, d, max_vertices=d + 3, bound=2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            P = convex_hull([(*v, sum(v) / 2 + c) for v in Q.vertices])
+        kinds.add((P.is_integral, P.dim < P.ambient_dim))
+        bound = rng.choice([97, 128, 1000])
+        seed = rng.random()
+        got = random_relint_point(random.Random(seed), P, weight_bound=bound)
+        expect = _fraction_relint_point(random.Random(seed), P, bound)
+        assert got == expect and all(type(x) is Fraction for x in got), (P.vertices, bound)
+    assert kinds == {(True, False), (False, False), (True, True), (False, True)}, kinds
 
 
 def test_direction_is_nonzero(rng):
