@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 from .counting import HalfOpenPolytope, _fiber_count, count_half_open
 from .geometry import (
-    EMPTY,
     CertificateError,
     DimensionMismatch,
     GeometryError,
@@ -33,14 +32,12 @@ from .geometry import (
     Polytope,
     _common_ambient,
     _dilation_vector,
-    _integer_chart,
     _lattice_tag,
     _require_polytope,
     _scaled,
     contains,
     convex_hull,
     dilate,
-    hyperplane_section,
     minkowski_sum_all,
     origin_polytope,
     placing_cells,
@@ -544,12 +541,6 @@ def staircase_refine(
 # -- Cayley embeddings -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CayleyPolytope:
-    factors: tuple[Polytope, ...]
-    embedding: Polytope
-
-
 def _cayley_points(polys: Sequence[Polytope]) -> list[tuple]:
     """The vertices of factor i lifted to height 1 in extra coordinate i."""
     r = len(polys)
@@ -560,50 +551,30 @@ def _cayley_points(polys: Sequence[Polytope]) -> list[tuple]:
     ]
 
 
-def cayley_polytope(polys: Sequence[Polytope]) -> CayleyPolytope:
-    """Embed the factors at unit heights in r extra coordinates and take
-    the hull; slicing at equal heights 1/r recovers the scaled sum."""
+def cayley_polytope(polys: Sequence[Polytope]) -> Polytope:
+    """The hull of the factors embedded at unit heights in r extra
+    coordinates; slicing it at equal heights 1/r recovers the sum scaled
+    by 1/r.  The Cayley dissections place the embedded points directly
+    and never build this hull."""
     polys = tuple(_require_polytope(P) for P in polys)
     if not polys:
         raise ValueError("need at least one factor")
     _common_ambient(polys)
-    return CayleyPolytope(polys, convex_hull(_cayley_points(polys)))
-
-
-def cayley_central_slice(C: CayleyPolytope) -> Polytope:
-    """The embedding sliced at all heights equal to 1/r, projected back
-    to the original coordinates; equals the sum of the factors scaled by
-    1/r."""
-    r = len(C.factors)
-    d = C.factors[0].ambient_dim
-    S: Polytope = C.embedding
-    for i in range(r - 1):
-        a = tuple(1 if t == d + i else 0 for t in range(d + r))
-        S = hyperplane_section(S, a, Fraction(1, r))
-        if S is EMPTY:
-            raise GeometryError("central slice vanished")
-    return convex_hull([v[:d] for v in S.vertices])
+    return convex_hull(_cayley_points(polys))
 
 
 # -- placing triangulations ----------------------------------------------------------
 
 
-def placing_triangulation(
-    P: Polytope, order: Sequence[int] | None = None
-) -> Dissection:
-    """Triangulate by inserting vertices one at a time, coning each new
-    vertex over the boundary faces it sees.
+def placing_triangulation(P: Polytope) -> Dissection:
+    """Triangulate by placing the vertices one at a time in their stored
+    order, coning each new vertex over the boundary faces it sees.
 
-    Deterministic in the order, which must list every vertex index once;
-    the default is the stored vertex order.
+    The vertices go to placing_cells as they are; it charts them itself.
     """
     P = _require_polytope(P)
-    nv = len(P.vertices)
-    idx = list(range(nv)) if order is None else [int(t) for t in order]
-    if sorted(idx) != list(range(nv)):
-        raise ValueError("order must list every vertex index exactly once")
     cells = []
-    for c in placing_cells(_integer_chart(P.vertices, P._chart)[1], idx):
+    for c in placing_cells(P.vertices, range(len(P.vertices))):
         verts = tuple(sorted(P.vertices[t] for t in c))
         simplex = Polytope(P.ambient_dim, verts, _lattice_tag(verts, None))
         cells.append(MixedCell((simplex,), simplex))
@@ -634,30 +605,33 @@ def _pull_back(
     return mc
 
 
+def _cayley_cells(
+    pts: Sequence[tuple], d: int, r: int
+) -> tuple[list[tuple[int, ...]], tuple[MixedCell, ...]]:
+    """The Cayley trick (Huber, Rambau & Santos, JEMS 2, 2000): a placing
+    triangulation of the Cayley points `pts`, placed in list order, as
+    index cells, and each maximal simplex pulled back to a mixed cell of
+    the sum.  No hull of the points is built."""
+    index_cells = placing_cells(pts, range(len(pts)))
+    return index_cells, tuple(_pull_back([pts[t] for t in c], d, r) for c in index_cells)
+
+
 def fine_mixed_dissection(
-    polys: Sequence[Polytope],
-    *,
-    order: Sequence[int] | None = None,
-    opener_seed: int = 0,
+    polys: Sequence[Polytope], *, opener_seed: int = 0
 ) -> Dissection:
     """Dissect the Minkowski sum of the factors into exact mixed cells.
 
-    Triangulates the Cayley embedding by placing and pulls every maximal
-    simplex back through the equal-height slice; cells are opened from a
-    seeded generic interior point of the sum.
+    Places the Cayley points in sorted order, the vertex order of the
+    Cayley polytope, with no hull, and pulls every maximal simplex back
+    through the equal-height slice; cells are opened from a seeded
+    generic interior point of the sum.
     """
     polys = tuple(_require_polytope(P) for P in polys)
     if not polys:
         raise ValueError("need at least one factor")
     d = _common_ambient(polys)
-    r = len(polys)
-    emb = cayley_polytope(polys).embedding
-    tri = placing_triangulation(emb, order)
-    cells = tuple(
-        _pull_back(c.cell.vertices, d, r) for c in tri.cells
-    )
-    target = minkowski_sum_all(polys)
-    D = Dissection(target, cells, factors=polys)
+    _, cells = _cayley_cells(sorted(_cayley_points(polys)), d, len(polys))
+    D = Dissection(minkowski_sum_all(polys), cells, factors=polys)
     return open_dissection(D, seed=opener_seed)
 
 
@@ -719,28 +693,14 @@ def mixed_difference_certificate(
     n_inner = len(inner_pts)
     pts = list(dict.fromkeys(inner_pts + _cayley_points(outer)))
 
-    emb = convex_hull(pts)
-    _, loc = _integer_chart(pts, emb._chart)
-    index_cells = placing_cells(loc, list(range(len(pts))))
-
-    cells = []
-    inner_idx = []
-    diff_idx = []
-    for k, c in enumerate(index_cells):
-        cells.append(_pull_back([pts[t] for t in c], d, r))
-        if max(c) < n_inner:
-            inner_idx.append(k)
-        else:
-            diff_idx.append(k)
-
-    built = tuple(cells)
+    index_cells, built = _cayley_cells(pts, d, r)
+    inner_idx = tuple(k for k, c in enumerate(index_cells) if max(c) < n_inner)
+    diff_idx = tuple(k for k, c in enumerate(index_cells) if max(c) >= n_inner)
     q = generic_opener(
         target_out, built, seed=opener_seed, from_polytope=target_in
     )
     D = open_dissection(Dissection(target_out, built, factors=outer), q)
-    return DifferenceCertificate(
-        inner, outer, D, tuple(inner_idx), tuple(diff_idx)
-    )
+    return DifferenceCertificate(inner, outer, D, inner_idx, diff_idx)
 
 
 def difference_counts(

@@ -31,6 +31,7 @@ from .geometry import (
     scaled_sum,
     translate,
     _common_ambient,
+    _dilation_vector,
     _require_polytope,
 )
 from .linalg import dot, frac
@@ -254,11 +255,7 @@ def cm_multi(
     """cm with each polytope repeated, computed as the finite difference
     over the box prod {0..alpha_i} instead of expanding the multiset."""
     polys = [_require_polytope(P) for P in polys]
-    alpha = tuple(int(a) for a in multiplicities)
-    if len(alpha) != len(polys):
-        raise ValueError("one multiplicity per polytope, please")
-    if any(a < 0 for a in alpha):
-        raise ValueError("multiplicities must be nonnegative")
+    alpha = _dilation_vector(multiplicities, len(polys))
     if not polys:
         raise ValueError("need at least one polytope")
     values = _grid_values(phi, polys, alpha)

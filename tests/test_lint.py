@@ -2,7 +2,6 @@
 
 import ast
 from pathlib import Path
-from typing import Callable
 
 import mixedval
 
@@ -59,19 +58,9 @@ def _registered(node: Definition) -> bool:
     )
 
 
-def _private(module: str, node: Definition) -> bool:
-    return node.name.startswith("_") and not node.name.startswith("__")
-
-
-def _linalg_function(module: str, node: Definition) -> bool:
-    return module == "linalg" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-
-
-def _unreferenced_definitions(
-    trees: dict[str, ast.Module], checked: Callable[[str, Definition], bool]
-) -> set[str]:
-    """Module-level functions and classes, those that checked(module,
-    definition) selects, that no module refers to.
+def _unreferenced_definitions(trees: dict[str, ast.Module], exported: set[str]) -> set[str]:
+    """Module-level functions and classes that no module refers to, those
+    the package exports and dunders apart.
 
     A reference is a name, an attribute or an imported name anywhere in
     any of the modules, the defining one included; a definition that a
@@ -83,7 +72,8 @@ def _unreferenced_definitions(
         for node in tree.body:
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and checked(module, node)
+                and node.name not in exported
+                and not (node.name.startswith("__") and node.name.endswith("__"))
                 and not _registered(node)
             ):
                 defined.add((module, node.name))
@@ -102,14 +92,10 @@ def _package_trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
-def test_no_private_function_or_class_is_left_unused():
-    assert not _unreferenced_definitions(_package_trees(), _private)
-
-
-def test_no_linalg_function_is_left_unused():
-    # the kernel's public routines are internal to the package: one that
-    # no module refers to, linalg itself included, is dead code
-    assert not _unreferenced_definitions(_package_trees(), _linalg_function)
+def test_no_unexported_function_or_class_is_left_unused():
+    # what the package does not export is internal to it: a definition
+    # that no module refers to is dead code
+    assert not _unreferenced_definitions(_package_trees(), set(mixedval.__all__))
 
 
 def test_the_scan_sees_an_unused_private_function():
@@ -121,16 +107,21 @@ def test_the_scan_sees_an_unused_private_function():
         "def __getattr__(name): pass\n"
     )
     b = ast.parse("from a import _used\n_used()\n")
-    assert _unreferenced_definitions({"a": a, "b": b}, _private) == {"a._dead", "a._Gone"}
+    assert _unreferenced_definitions({"a": a, "b": b}, set()) == {"a._dead", "a._Gone"}
 
 
 def test_the_scan_sees_an_unused_linalg_function():
+    # and an unused public helper anywhere; an exported name is used
     linalg = ast.parse(
         "def int_row(): pass\n"
         "def int_rows(): return int_row()\n"
         "def rref(): pass\n"
         "def _dead(): pass\n"
     )
-    geometry = ast.parse("from .linalg import int_rows\ndef rank(): pass\n")
+    geometry = ast.parse(
+        "from .linalg import int_rows\n"
+        "def helper(): pass\n"
+        "def convex_hull(): pass\n"
+    )
     trees = {"linalg": linalg, "geometry": geometry}
-    assert _unreferenced_definitions(trees, _linalg_function) == {"linalg.rref", "linalg._dead"}
+    assert _unreferenced_definitions(trees, {"convex_hull"}) == {"linalg.rref", "linalg._dead", "geometry.helper"}

@@ -14,7 +14,7 @@ from mixedval import (
     placing_triangulation,
     scaled_sum,
 )
-from mixedval import dissections, geometry
+from mixedval import geometry
 from mixedval.geometry import _scaled, placing_cells, volume_in_chart
 from mixedval.linalg import det, dot, is_zero, vec, vsub
 from mixedval.samplers import random_lattice_polytope, random_rational_polytope
@@ -277,8 +277,7 @@ def test_int_chart_coordinates_give_the_fraction_chart_results(monkeypatch):
         return out
 
     int_chart = results()
-    for module in (geometry, dissections):
-        monkeypatch.setattr(module, "_integer_chart", _fraction_chart)
+    monkeypatch.setattr(geometry, "_integer_chart", _fraction_chart)
     assert int_chart == results()
 
 

@@ -148,6 +148,15 @@ def test_cm_multi_matches_repetition(unit_square, unit_triangle):
     assert cm_multi(DVOL, [unit_square, unit_triangle], (2, 1)) == direct
 
 
+@pytest.mark.parametrize(
+    "alpha", [(1.5, 1), (True, 1), (Fraction(3, 2), 1), (-1, 1), (2,), (2, 1, 1)]
+)
+def test_cm_multi_takes_nonnegative_int_multiplicities(unit_square, unit_triangle, alpha):
+    # 1.5, True and 3/2 are no ints: truncating them would answer for (1, 1)
+    with pytest.raises(ValueError):
+        cm_multi(DVOL, [unit_square, unit_triangle], alpha)
+
+
 def test_charac_recursion_on_builtins(unit_square, unit_triangle, e1_segment):
     for phi in (DVOL, VOL, EULER):
         assert charac_recursion_check(phi, [unit_square, unit_triangle, e1_segment])
