@@ -98,6 +98,18 @@ def test_no_unexported_function_or_class_is_left_unused():
     assert not _unreferenced_definitions(_package_trees(), set(mixedval.__all__))
 
 
+def test_no_private_function_or_class_is_left_unused():
+    dead = _unreferenced_definitions(_package_trees(), set(mixedval.__all__))
+    assert not {name for name in dead if name.split(".")[1].startswith("_")}
+
+
+def test_no_linalg_function_is_left_unused():
+    # the kernel's routines are internal to the package: one that no
+    # module refers to, linalg itself included, is dead code
+    dead = _unreferenced_definitions(_package_trees(), set(mixedval.__all__))
+    assert not {name for name in dead if name.startswith("linalg.")}
+
+
 def test_the_scan_sees_an_unused_private_function():
     a = ast.parse(
         "def _used(): pass\n"
