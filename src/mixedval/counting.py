@@ -48,13 +48,8 @@ class HalfOpenPolytope:
 
     def __post_init__(self):
         n = len(self.base.facets)
-        if any(i < 0 or i >= n for i in self.removed):
+        if any(type(i) is not int or i < 0 or i >= n for i in self.removed):
             raise ValueError("removed facet index out of range")
-
-    @property
-    def proper(self) -> bool:
-        """True when at least one facet is removed (the set is not closed)."""
-        return bool(self.removed)
 
     def contains_point(self, x: Sequence) -> bool:
         p = vec(x)
@@ -191,6 +186,6 @@ def euler_relint_value(phi: Callable[[Polytope], Fraction], P: Polytope) -> Frac
     """
     P = _require_polytope(P)
     total = Fraction(0)
-    for f in face_lattice(P).faces:
+    for f in face_lattice(P):
         total += (-1) ** (P.dim - f.dim) * Fraction(phi(f.polytope))
     return total

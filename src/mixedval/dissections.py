@@ -43,7 +43,7 @@ from .geometry import (
     placing_cells,
     translate,
 )
-from .linalg import dot, is_zero, primitive, vadd, vec
+from .linalg import dot, is_zero, vadd, vec
 from .samplers import random_relint_point
 
 # -- half-open operators ------------------------------------------------------
@@ -93,31 +93,6 @@ def half_open_by_direction(P: Polytope, u: Sequence) -> HalfOpenPolytope:
         if s > 0:
             removed.add(i)
     return HalfOpenPolytope(P, frozenset(removed))
-
-
-def direction_matching_point(P: Polytope, q: Sequence) -> tuple[int, ...]:
-    """For a simplex P and a generic point q outside it, an integer
-    direction u with the same removed facets as the point operator.
-
-    u is primitive(m q - (v_1 + ... + v_m)) for v_1..v_m the vertices
-    opposite the m facets that q sees: on a seen facet the opposite
-    vertex is strictly inside and the other averaged vertices are on it,
-    so <a, u> > 0; an unseen facet holds every averaged vertex and q is
-    strictly inside it, so <a, u> < 0.
-    """
-    P = _require_polytope(P)
-    if len(P.vertices) != P.dim + 1:
-        raise GeometryError("a matching direction is promised for simplices only")
-    H = half_open_by_point(P, q)
-    if not H.removed:
-        raise GeometryError("point sees no facet; a direction always sees one")
-    n = len(P.vertices)
-    opposite = [P.vertices[min(set(range(n)) - P.facet_tight_sets[i])] for i in H.removed]
-    m = len(opposite)
-    u = primitive([m * x - sum(v[j] for v in opposite) for j, x in enumerate(vec(q))])
-    if half_open_by_direction(P, u).removed != H.removed:
-        raise CertificateError("matching direction disagrees with the point")
-    return u
 
 
 # -- mixed cells and dissections ------------------------------------------------

@@ -59,7 +59,6 @@ from .linalg import (
     extend_echelon,
     frac,
     primitive,
-    primitive_signless,
     rank,
     rational,
     reduced_echelon,
@@ -269,14 +268,6 @@ class Polytope:
         return tuple(out)
 
     @cached_property
-    def edge_directions(self) -> tuple[tuple[int, ...], ...]:
-        dirs = {
-            primitive_signless(vsub(self.vertices[j], self.vertices[i]))
-            for i, j in self.edges
-        }
-        return tuple(sorted(dirs))
-
-    @cached_property
     def integer_edges(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
         """(start, end, primitive direction) of each edge, on the int-scaled vertices."""
         _, pts = _scaled(self.vertices)
@@ -305,14 +296,6 @@ class Polytope:
             if dot(e, p) != f:
                 return False
         return all(dot(fct.normal, p) <= fct.offset for fct in self.facets)
-
-    @cached_property
-    def vertex_centroid(self) -> Point:
-        n = len(self.vertices)
-        acc = self.vertices[0]
-        for v in self.vertices[1:]:
-            acc = vadd(acc, v)
-        return vscale(Fraction(1, n), acc)
 
     @cached_property
     def _hash(self) -> int:  # the dataclass hash, once: every cache lookup hashes P
@@ -778,50 +761,30 @@ def volume_in_chart(P: Polytope) -> Fraction:
 class Face:
     dim: int
     vertex_indices: frozenset[int]
-    facet_indices: frozenset[int]
     polytope: Polytope
 
 
-@dataclass(frozen=True)
-class FaceLattice:
-    polytope: Polytope
-    faces: tuple[Face, ...]
-
-    def of_dim(self, k: int) -> tuple[Face, ...]:
-        return tuple(f for f in self.faces if f.dim == k)
-
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        out = [0] * (self.polytope.dim + 1)
-        for f in self.faces:
-            out[f.dim] += 1
-        return tuple(out)
-
-
-def face_lattice(P: Polytope) -> FaceLattice:
-    """All nonempty faces of P, including P itself, via facet intersections."""
+def face_lattice(P: Polytope) -> tuple[Face, ...]:
+    """All nonempty faces of P, including P itself, via facet intersections,
+    sorted by dimension and then by vertex indices."""
     P = _require_polytope(P)
-    facets, tights = P._facet_data
-    nv = len(P.vertices)
-    all_v = frozenset(range(nv))
-    seen: dict[frozenset[int], frozenset[int]] = {
-        all_v: frozenset(i for i, t in enumerate(tights) if t == all_v)
-    }
+    all_v = frozenset(range(len(P.vertices)))
+    seen = {all_v}
     queue = [all_v]
     while queue:
         V = queue.pop()
-        for i, t in enumerate(tights):
+        for t in P.facet_tight_sets:
             W = V & t
             if W and W != V and W not in seen:
-                seen[W] = frozenset(j for j, tj in enumerate(tights) if W <= tj)
+                seen.add(W)
                 queue.append(W)
     faces = []
-    for V, I in seen.items():
+    for V in seen:
         verts = tuple(sorted(P.vertices[i] for i in V))
         sub = Polytope(P.ambient_dim, verts, _lattice_tag(verts, None))
-        faces.append(Face(sub.dim, V, I, sub))
+        faces.append(Face(sub.dim, V, sub))
     faces.sort(key=lambda f: (f.dim, sorted(f.vertex_indices)))
-    return FaceLattice(P, tuple(faces))
+    return tuple(faces)
 
 
 # -- halfspace cuts ---------------------------------------------------------------

@@ -193,10 +193,3 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
-
-
-def primitive_signless(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Primitive integer vector with the first nonzero entry positive."""
-    p = primitive(v)
-    lead = next(x for x in p if x != 0)
-    return p if lead > 0 else tuple(-x for x in p)

@@ -56,17 +56,13 @@ class Segment:
 
     def __post_init__(self) -> None:
         a, b = self.endpoints
+        if any(type(x) is not int for x in (*a, *b)):
+            raise ValueError("segment endpoints must be lattice points")
         if a == b:
             raise ValueError("segment endpoints must differ")
         diff = tuple(y - x for x, y in zip(a, b, strict=True))
         if self.direction != primitive(diff):
             raise ValueError("direction must be the primitive endpoint difference")
-
-    @classmethod
-    def between(cls, owner: int, a: Sequence[int], b: Sequence[int]) -> "Segment":
-        start = tuple(int(x) for x in a)
-        end = tuple(int(x) for x in b)
-        return cls(owner, (start, end), primitive([y - x for x, y in zip(start, end, strict=True)]))
 
 
 def candidate_segments(polys: Sequence[Polytope]) -> list[Segment]:

@@ -31,7 +31,6 @@ from .geometry import (
     scaled_sum,
     translate,
     _common_ambient,
-    _dilation_vector,
     _require_polytope,
 )
 from .linalg import dot, frac
@@ -192,9 +191,6 @@ class MixedPolynomial:
     arity: int
     coefficients: dict[tuple[int, ...], Fraction]
 
-    def coefficient(self, alpha: Sequence[int]) -> Fraction:
-        return self.coefficients.get(tuple(alpha), Fraction(0))
-
     def evaluate(self, n: Sequence[int]) -> Fraction:
         if len(n) != self.arity:
             raise ValueError("evaluation point has the wrong arity")
@@ -209,10 +205,6 @@ class MixedPolynomial:
                     break
             total += term
         return total
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(a) for a in self.coefficients), default=0)
 
 
 def mixed_polynomial(phi: Valuation, polys: Sequence[Polytope]) -> MixedPolynomial:
@@ -247,38 +239,6 @@ def mixed_polynomial(phi: Valuation, polys: Sequence[Polytope]) -> MixedPolynomi
             f"{phi.name} deviates from its degree-{D} fit beyond the grid"
         )
     return poly
-
-
-def cm_multi(
-    phi: Valuation, polys: Sequence[Polytope], multiplicities: Sequence[int]
-) -> Fraction:
-    """cm with each polytope repeated, computed as the finite difference
-    over the box prod {0..alpha_i} instead of expanding the multiset."""
-    polys = [_require_polytope(P) for P in polys]
-    alpha = _dilation_vector(multiplicities, len(polys))
-    if not polys:
-        raise ValueError("need at least one polytope")
-    values = _grid_values(phi, polys, alpha)
-    return _finite_difference(values, alpha)
-
-
-def charac_recursion_check(phi: Valuation, polys: Sequence[Polytope]) -> bool:
-    """Does cm satisfy its defining recursion in the first two slots?
-
-    Checks cm(P1, P2, rest) == cm(P1+P2, rest) - cm(P1, rest) - cm(P2, rest)
-    with exact arithmetic.
-    """
-    polys = [_require_polytope(P) for P in polys]
-    if len(polys) < 2:
-        raise ValueError("the recursion needs at least two polytopes")
-    rest = polys[2:]
-    lhs = cm(phi, polys)
-    rhs = (
-        cm(phi, [minkowski_sum_all(polys[:2]), *rest])
-        - cm(phi, [polys[0], *rest])
-        - cm(phi, [polys[1], *rest])
-    )
-    return lhs == rhs
 
 
 def shift_valuation(phi: Valuation, Q: Polytope) -> Valuation:
@@ -379,7 +339,7 @@ def weak_hstar_monotone_check(
             if inner < 0:
                 violations.append(MonotoneViolation(S.vertices, None, inner))
             continue
-        for face in face_lattice(S).of_dim(S.dim - 1):
+        for face in (F for F in face_lattice(S) if F.dim == S.dim - 1):
             value = inner + euler_relint_value(phi, face.polytope)
             checked += 1
             if value < 0:

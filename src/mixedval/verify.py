@@ -348,7 +348,7 @@ def _euler_relation(rng, dims, budget):
     for t in range(budget):
         d = _dim(rng, dims)
         P = _poly(rng, d, t, budget)
-        total = sum((-1) ** F.dim for F in face_lattice(P).faces)
+        total = sum((-1) ** F.dim for F in face_lattice(P))
         if total != 1:
             return t, f"{_fmt([P])} alternating face sum {total}"
     return budget, None

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 
 from mixedval import (
@@ -72,6 +73,14 @@ def test_half_open_square_keeps_one_corner(unit_square):
     assert H.base == unit_square
 
 
+@pytest.mark.parametrize("index", [0.5, True])
+def test_removed_facet_indices_are_ints(index):
+    # 0.5 would remove nothing and True would remove facet 1
+    triangle = hull((0, 0), (2, 0), (0, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        HalfOpenPolytope(triangle, frozenset({index}))
+
+
 def test_half_open_from_interior_point_removes_nothing(unit_square):
     H = half_open_by_point(unit_square, (F(1, 2), F(1, 3)))
     assert H.removed == frozenset()
@@ -93,7 +102,7 @@ def test_count_is_translation_invariant(P):
 @given(lattice_polytopes(dim=2))
 def test_half_open_count_never_exceeds_closed(P):
     # The opening point must lie in the affine hull; the centroid does.
-    q = P.vertex_centroid
+    q = [sum(xs) / len(P.vertices) for xs in zip(*P.vertices)]
     H = half_open_by_point(P, q)
     assert 0 <= count_half_open(H) <= count_lattice_points(P)
 

@@ -1,8 +1,6 @@
 """Half-open dissections, staircases, box cells, Cayley constructions."""
 
-import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given
@@ -12,7 +10,6 @@ from mixedval import (
     GeometryError,
     InexactSum,
     MixedCell,
-    NotGeneric,
     boxcell_census,
     boxcell_dissection,
     cayley_polytope,
@@ -24,12 +21,10 @@ from mixedval import (
     difference_counts,
     dilate,
     dilated_cell_counts,
-    direction_matching_point,
     exact_volume,
     fine_mixed_dissection,
     generic_opener,
     half_open_by_direction,
-    half_open_by_point,
     half_open_points,
     lattice_points,
     minkowski_sum,
@@ -38,13 +33,9 @@ from mixedval import (
     order_simplex,
     placing_triangulation,
     point_polytope,
-    random_lattice_simplex,
     staircase_dissection,
     staircase_refine,
-    translate,
 )
-from mixedval.linalg import dot, primitive, vsub
-from mixedval.verify import feasible_nonneg
 
 from .conftest import hull
 from .strategies import lattice_polytopes
@@ -70,85 +61,6 @@ def test_half_open_by_direction_keeps_the_sink_corner(unit_square):
 def test_half_open_by_direction_rejects_a_tied_normal(unit_square):
     with pytest.raises(GeometryError):
         half_open_by_direction(unit_square, (1, 0))
-
-
-def test_direction_matching_point_on_a_simplex(unit_triangle):
-    # The point must see at least one facet; a direction always does.
-    q = (F(2), F(2))
-    u = direction_matching_point(unit_triangle, q)
-    assert half_open_by_direction(unit_triangle, u).removed == half_open_by_point(
-        unit_triangle, q
-    ).removed
-
-
-def test_direction_matching_point_errors(unit_square, unit_triangle):
-    with pytest.raises(GeometryError, match="simplices only"):
-        direction_matching_point(unit_square, (2, 2))
-    with pytest.raises(GeometryError, match="sees no facet"):
-        direction_matching_point(unit_triangle, (F(1, 4), F(1, 4)))
-    with pytest.raises(NotGeneric):
-        direction_matching_point(unit_triangle, (2, 0))
-    with pytest.raises(GeometryError, match="affine hull"):
-        direction_matching_point(hull((0, 0), (1, 1)), (2, 0))
-
-
-def _lp_matching_direction(P, q):
-    """The LP formulation of a matching direction, the reference: u is
-    sum_t (w+_t - w-_t) (v_t - v_0) with w+, w- >= 0 and sigma_i <a_i, u> >= 1
-    for every facet, sigma_i = +1 where q sees the facet and -1 elsewhere."""
-    removed = half_open_by_point(P, q).removed
-    o = P.vertices[0]
-    edges = [vsub(v, o) for v in P.vertices[1:]]
-    k, nf = len(edges), len(P.facets)
-    rows = []
-    for i, f in enumerate(P.facets):
-        sigma = 1 if i in removed else -1
-        coeffs = [sigma * dot(f.normal, b) for b in edges]
-        rows.append(coeffs + [-c for c in coeffs] + [-int(j == i) for j in range(nf)])
-    sol = feasible_nonneg(rows, [1] * nf)
-    if sol is None:
-        return None
-    w = [sol[t] - sol[k + t] for t in range(k)]
-    return primitive([sum(c * b[i] for c, b in zip(w, edges)) for i in range(P.ambient_dim)])
-
-
-def _matching_cases(count=2400, seed=3131):
-    """Seeded (simplex, q): d = 1..4, lattice and rationally translated
-    simplices of every dimension 1..d, q rational in the affine hull."""
-    rng = random.Random(seed)
-    for t in range(count):
-        d = rng.randint(1, 4)
-        S = random_lattice_simplex(rng, d, dim=rng.randint(1, d), bound=3)
-        if t % 2:
-            S = translate(S, [F(rng.randint(-2, 2), 3) for _ in range(d)])
-        o = S.vertices[0]
-        w = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in S.vertices[1:]]
-        yield S, tuple(o[i] + sum(c * (v[i] - o[i]) for c, v in zip(w, S.vertices[1:])) for i in range(d))
-
-
-def test_closed_form_matching_direction_agrees_with_the_lp():
-    matched = lower = rational = 0
-    for S, q in _matching_cases():
-        try:
-            removed = half_open_by_point(S, q).removed
-        except NotGeneric:
-            with pytest.raises(NotGeneric):
-                direction_matching_point(S, q)
-            continue
-        if not removed:
-            with pytest.raises(GeometryError, match="sees no facet"):
-                direction_matching_point(S, q)
-            continue
-        u = direction_matching_point(S, q)
-        expect = _lp_matching_direction(S, q)
-        assert expect is not None, (S, q)
-        assert half_open_by_direction(S, u).removed == removed, (S, q, u)
-        assert half_open_by_direction(S, expect).removed == removed, (S, q, expect)
-        assert all(type(x) is int for x in u) and gcd(*u) == 1, u
-        matched += 1
-        lower += S.dim < S.ambient_dim
-        rational += not S.is_integral
-    assert matched >= 1500 and lower >= 400 and rational >= 600, (matched, lower, rational)
 
 
 def test_placing_triangulation_of_square(unit_square):

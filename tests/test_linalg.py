@@ -15,7 +15,6 @@ from mixedval.linalg import (
     frac,
     is_zero,
     primitive,
-    primitive_signless,
     rank,
     rational,
     reduced_echelon,
@@ -92,8 +91,6 @@ def test_det_small_cases():
 def test_primitive_preserves_direction():
     assert primitive(vec([4, -6])) == (2, -3)
     assert primitive(vec([F(1, 2), F(1, 3)])) == (3, 2)
-    assert primitive_signless(vec([-2, 4])) == (1, -2)
-    assert primitive_signless(vec([2, -4])) == (1, -2)
 
 
 small_vec = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(vec)

@@ -6,6 +6,7 @@ from pathlib import Path
 import mixedval
 
 SRC = Path(mixedval.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
@@ -58,33 +59,46 @@ def _registered(node: Definition) -> bool:
     )
 
 
+def _references(tree: ast.Module) -> set[str]:
+    """Names the module reads, attributes it takes and names it imports.
+
+    A module-level definition's references to its own name, as in a
+    recursion or a method annotated with its class, do not count.
+    """
+    used: set[str] = set()
+    for stmt in tree.body:
+        found: set[str] = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.update({node.asname or node.name, node.name})
+        if isinstance(stmt, Definition):
+            found.discard(stmt.name)
+        used |= found
+    return used
+
+
 def _unreferenced_definitions(trees: dict[str, ast.Module], exported: set[str]) -> set[str]:
     """Module-level functions and classes that no module refers to, those
     the package exports and dunders apart.
 
-    A reference is a name, an attribute or an imported name anywhere in
-    any of the modules, the defining one included; a definition that a
-    registering decorator names is used by that registration.
+    A reference is one that _references finds in any of the modules, the
+    defining one included; a definition that a registering decorator
+    names is used by that registration.
     """
-    defined: set[tuple[str, str]] = set()
-    used: set[str] = set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name not in exported
-                and not (node.name.startswith("__") and node.name.endswith("__"))
-                and not _registered(node)
-            ):
-                defined.add((module, node.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.asname or node.name)
-                used.add(node.name)
+    defined = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, Definition)
+        and node.name not in exported
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _registered(node)
+    }
+    used = set().union(*map(_references, trees.values()))
     return {f"{module}.{name}" for module, name in defined if name not in used}
 
 
@@ -137,3 +151,69 @@ def test_the_scan_sees_an_unused_linalg_function():
     )
     trees = {"linalg": linalg, "geometry": geometry}
     assert _unreferenced_definitions(trees, {"convex_hull"}) == {"linalg.rref", "linalg._dead", "geometry.helper"}
+
+
+def _caller_trees() -> dict[str, ast.Module]:
+    """The code that may call the package's public API: its modules but
+    __init__, which only re-exports, the scripts, and the benchmark but
+    its test. A name that only tests call is dead code."""
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    paths += [p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "test_bench.py"]
+    return {str(p): ast.parse(p.read_text(), str(p)) for p in paths}
+
+
+def _uncalled_exports(callers: dict[str, ast.Module], exported: set[str]) -> set[str]:
+    return exported - set().union(*map(_references, callers.values()))
+
+
+def _uncalled_members(package: dict[str, ast.Module], callers: dict[str, ast.Module]) -> set[str]:
+    """Public methods and properties of the package's classes whose name
+    the callers never take as an attribute or read as a name."""
+    used = set().union(*map(_references, callers.values()))
+    return {
+        f"{cls.name}.{member.name}"
+        for tree in package.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+        and member.name not in used
+    }
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    assert not _uncalled_exports(_caller_trees(), set(mixedval.__all__))
+
+
+def test_every_public_member_has_a_caller_outside_the_tests():
+    assert not _uncalled_members(_package_trees(), _caller_trees())
+
+
+def test_the_scan_sees_an_export_that_only_its_definition_calls():
+    geometry = ast.parse(
+        "def hull(): return volume()\n"
+        "def volume(): pass\n"
+        "def loop(n): return loop(n - 1)\n"
+        "class Box:\n"
+        "    def grow(self) -> Box: return Box()\n"
+    )
+    script = ast.parse("from mixedval import dilate\n")
+    exported = {"hull", "volume", "loop", "Box", "dilate"}
+    assert _uncalled_exports({"geometry": geometry, "script": script}, exported) == {"hull", "loop", "Box"}
+
+
+def test_the_scan_sees_a_member_that_nothing_calls():
+    geometry = ast.parse(
+        "class Box:\n"
+        "    def __init__(self): self.size = 0\n"
+        "    def _grow(self): pass\n"
+        "    @property\n"
+        "    def area(self): return self.size\n"
+        "    def width(self): return self.width()\n"
+        "    def dead(self): pass\n"
+    )
+    script = ast.parse("from geometry import Box\nprint(Box().area, Box.size)\n")
+    trees = {"geometry": geometry, "script": script}
+    assert _uncalled_members({"geometry": geometry}, trees) == {"Box.dead"}

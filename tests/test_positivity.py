@@ -52,10 +52,19 @@ def test_an_impostor_named_dvol_gets_its_own_cm(e1_segment, e2_segment):
 
 
 def test_segment_construction():
-    seg = Segment.between(0, (0, 0), (2, 4))
-    assert seg.direction == (1, 2)
+    seg = Segment(0, ((0, 0), (2, 4)), (1, 2))
+    assert seg.endpoints == ((0, 0), (2, 4))
     with pytest.raises(ValueError):
-        Segment.between(0, (1, 1), (1, 1))
+        Segment(0, ((0, 0), (2, 4)), (2, 4))
+    with pytest.raises(ValueError):
+        Segment(0, ((1, 1), (1, 1)), (1, 1))
+
+
+@pytest.mark.parametrize("x, u", [(F(3, 2), (3, 2)), (1.5, (3, 2)), (True, (1, 1))])
+def test_segment_endpoints_are_lattice_points(x, u):
+    # truncating x to an int would move the segment
+    with pytest.raises(ValueError):
+        Segment(0, ((0, 0), (x, 1)), u)
 
 
 def test_candidate_segments_of_standard_bodies(unit_square, unit_triangle):

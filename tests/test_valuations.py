@@ -15,10 +15,8 @@ from mixedval import (
     ReconstructionError,
     Valuation,
     builtin_valuations,
-    charac_recursion_check,
     check_valuation,
     cm,
-    cm_multi,
     cm_terms,
     count_lattice_points,
     count_relint_points,
@@ -127,39 +125,29 @@ def test_cm_is_the_sum_of_its_terms(phi, unit_square, unit_triangle, e1_segment)
 def test_mixed_polynomial_of_triangle(unit_triangle):
     poly = mixed_polynomial(DVOL, [unit_triangle])
     assert poly.arity == 1
-    assert [poly.coefficient((k,)) for k in range(3)] == [1, 2, 1]
+    assert [poly.coefficients[(k,)] for k in range(3)] == [1, 2, 1]
     assert poly.evaluate((10,)) == DVOL(dilate(unit_triangle, 10)) == 66
 
 
 def test_mixed_polynomial_of_square(unit_square):
     poly = mixed_polynomial(DVOL, [unit_square])
-    assert [poly.coefficient((k,)) for k in range(3)] == [1, 3, 2]
+    assert [poly.coefficients[(k,)] for k in range(3)] == [1, 3, 2]
 
 
 def test_mixed_polynomial_cross_coefficient(unit_triangle, e1_segment):
     poly = mixed_polynomial(DVOL, [unit_triangle, e1_segment])
     # The pure mixed coefficient equals cm of the pair.
-    assert poly.coefficient((1, 1)) == cm(DVOL, [unit_triangle, e1_segment])
-    assert poly.total_degree <= 2
-
-
-def test_cm_multi_matches_repetition(unit_square, unit_triangle):
-    direct = cm(DVOL, [unit_square, unit_square, unit_triangle], ambient_dim=2)
-    assert cm_multi(DVOL, [unit_square, unit_triangle], (2, 1)) == direct
-
-
-@pytest.mark.parametrize(
-    "alpha", [(1.5, 1), (True, 1), (Fraction(3, 2), 1), (-1, 1), (2,), (2, 1, 1)]
-)
-def test_cm_multi_takes_nonnegative_int_multiplicities(unit_square, unit_triangle, alpha):
-    # 1.5, True and 3/2 are no ints: truncating them would answer for (1, 1)
-    with pytest.raises(ValueError):
-        cm_multi(DVOL, [unit_square, unit_triangle], alpha)
+    assert poly.coefficients[(1, 1)] == cm(DVOL, [unit_triangle, e1_segment])
+    assert all(sum(alpha) <= 2 for alpha in poly.coefficients)
 
 
 def test_charac_recursion_on_builtins(unit_square, unit_triangle, e1_segment):
+    # cm(P1, P2, R) = cm(P1 + P2, R) - cm(P1, R) - cm(P2, R)
+    P1, P2, R = unit_square, unit_triangle, e1_segment
     for phi in (DVOL, VOL, EULER):
-        assert charac_recursion_check(phi, [unit_square, unit_triangle, e1_segment])
+        assert cm(phi, [P1, P2, R]) == (
+            cm(phi, [minkowski_sum_all([P1, P2]), R]) - cm(phi, [P1, R]) - cm(phi, [P2, R])
+        )
 
 
 def test_shift_identity(unit_square, unit_triangle, e1_segment):
