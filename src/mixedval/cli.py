@@ -37,11 +37,7 @@ from .dissections import (
     staircase_dissection,
 )
 from .geometry import (
-    DimensionMismatch,
     GeometryError,
-    InexactSum,
-    LatticeMismatch,
-    NotGeneric,
     dilate,
     exact_volume,
     scaled_sum,
@@ -63,15 +59,9 @@ from .positivity import (
 from .valuations import builtin_valuations, cm, cm_terms, h_star_vector, mixed_polynomial
 from .verify import available_suites, run_suite, run_suites
 
-_INPUT_ERRORS = (
-    InstanceError,
-    LatticeMismatch,
-    DimensionMismatch,
-    InexactSum,
-    GeometryError,
-    OSError,
-    json.JSONDecodeError,
-)
+# GeometryError covers its subclasses, NotGeneric among them;
+# load_instance wraps OSError and JSONDecodeError in InstanceError
+_INPUT_ERRORS = (InstanceError, GeometryError)
 
 
 class CliError(Exception):
@@ -559,7 +549,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"mixedval: error: {exc}", file=sys.stderr)
         return 1
-    except (CheckFailure, CertificateError, NotGeneric) as exc:
+    except (CheckFailure, CertificateError) as exc:
         print(f"mixedval: check failed: {exc}", file=sys.stderr)
         return 2
 

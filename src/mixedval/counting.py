@@ -31,7 +31,6 @@ from .geometry import (
     _scaled,
     face_lattice,
 )
-from .linalg import dot, vec
 
 # (head, last, rhs): <head, prefix> + last * x <= rhs over the integers,
 # for x the last coordinate and prefix the others
@@ -50,21 +49,6 @@ class HalfOpenPolytope:
         n = len(self.base.facets)
         if any(type(i) is not int or i < 0 or i >= n for i in self.removed):
             raise ValueError("removed facet index out of range")
-
-    def contains_point(self, x: Sequence) -> bool:
-        p = vec(x)
-        base = self.base
-        for e, f in base.aff_equalities:
-            if dot(e, p) != f:
-                return False
-        for i, fct in enumerate(base.facets):
-            v = dot(fct.normal, p)
-            if i in self.removed:
-                if v >= fct.offset:
-                    return False
-            elif v > fct.offset:
-                return False
-        return True
 
 
 def closed(P: Polytope) -> HalfOpenPolytope:

@@ -9,7 +9,12 @@ counted without building it: support functions add, so the facets and
 equalities of the plain sum cut out n1 S1 + ... + nr Sr with right-hand
 sides that are int combinations of per-summand support numbers, computed
 once per cell (and once per certificate target) over one common
-denominator.
+denominator.  One table serves every n >= 0, zero factors included: the
+plain sum's normal fan refines the fan of every sub-sum (Ziegler,
+Lectures on Polytopes, Prop. 7.12), so each summand's support function
+is linear on its normal cones.  A removed facet whose summand is scaled
+to a point pairs to a constant on the rescaled cell, and its strict row
+empties the count.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .geometry import (
     convex_hull,
     dilate,
     minkowski_sum_all,
-    origin_polytope,
     placing_cells,
     translate,
 )
@@ -112,15 +116,32 @@ def _face_index(P: Polytope, a: tuple[int, ...]) -> int:
 
 
 class _Support:
-    """Int support numbers of summands S1..Sr, their vertices scaled by one
-    common denominator D (`blocks`), on the rows of their plain sum T: for
-    each facet normal a of T, <a, .>'s max and min on each summand; for
-    each equality row e of aff(T), <e, .>'s value on each summand; for each
-    coordinate, its min and max on each summand.  Rows are split as the
-    scanner takes them, the last coefficient apart."""
+    """Counts of n1 S1 + ... + nr Sr for every n >= 0, from the int support
+    numbers of the summands S1..Sr on the rows of their plain sum T, half-
+    open on the facets `removed` of T.
 
-    def __init__(self, T: Polytope, D: int, blocks: Sequence[Sequence[tuple[int, ...]]]):
-        self.D = D
+    The summands' vertices are scaled by one common denominator D.  For
+    each facet normal a of T the table keeps <a, .>'s max and min on each
+    summand, for each equality row e of aff(T) its value on each summand,
+    and for each coordinate its min and max on each summand; rows are split
+    as the scanner takes them, the last coefficient apart.
+
+    One table serves zero factors too.  T's normal fan refines the fan of
+    every sub-sum (Ziegler, Lectures on Polytopes, Prop. 7.12), so each
+    summand's support function is linear on each normal cone of T, and T's
+    facet and equality rows with right-hand sides sum nj hj / D, cut by the
+    n-combined box, are exactly n1 S1 + ... + nr Sr even when some nj = 0.
+    A removed facet whose owner has nj = 0 pairs to a constant on that sum,
+    so its strict row alone makes the count 0.
+    """
+
+    def __init__(
+        self, summands: Sequence[Polytope], T: Polytope, removed: frozenset[int] = frozenset()
+    ):
+        self.removed = removed
+        self.D, ints = _scaled([v for S in summands for v in S.vertices])
+        it = iter(ints)
+        blocks = [[next(it) for _ in S.vertices] for S in summands]
         self.facets = []
         for f in T.facets:
             a = f.normal
@@ -136,15 +157,26 @@ class _Support:
             for i in range(T.ambient_dim)
         ]
 
-    def count(self, n: Sequence[int], removed: frozenset[int]) -> int:
-        """Lattice points of n1 S1 + ... + nr Sr, every ni > 0, with the
-        facets indexed by `removed` strict.  That polytope has T's normal
-        fan (Ziegler, Lectures on Polytopes, Prop. 7.12), and its support
-        function is the n-combination of the summands': each facet row is
-        <a, x> <= sum ni h_i / D, each equality row <e, x> = sum ni e_i / D
-        (no lattice point unless D divides it), and the box is the
-        n-combination of the summands' boxes."""
-        D = self.D
+    @cached_property
+    def owners(self) -> tuple[int, ...]:
+        """For each facet of T, the unique summand whose face in that
+        direction is proper."""
+        out = []
+        for _, _, highs, lows in self.facets:
+            moving = [j for j, (h, l) in enumerate(zip(highs, lows)) if h != l]
+            if not moving:
+                raise InexactSum("facet attribution failed")
+            if len(moving) > 1:
+                raise InexactSum("facet attribution is ambiguous")
+            out.append(moving[0])
+        return tuple(out)
+
+    def count(self, n: Sequence[int]) -> int:
+        """The count at a checked dilation vector n: each facet row is
+        <a, x> <= sum ni h_i / D, strict on the removed facets, each
+        equality row <e, x> = sum ni e_i / D (no lattice point unless D
+        divides it), and the box is the n-combination of the summands'."""
+        D, removed = self.D, self.removed
         cons = []
         for head, last, neg, vals in self.equalities:
             s, r = divmod(sum(map(mul, n, vals)), D)
@@ -162,65 +194,6 @@ class _Support:
                 return 0
             box.append((lo, hi))
         return _fiber_count(cons, box)
-
-
-class _Rescaling:
-    """Counts of n1 S1 + ... + nr Sr for one family of summands, half-open
-    on the facets `removed` of their plain sum `whole`.
-
-    One _Support per support pattern J = {j : nj > 0}, built on first use.
-    With every nj > 0 it is the table of `whole`, whose facet indices
-    carry over.  Otherwise the sum drops the summands outside J: the table
-    is built on their cached plain sum, a removed facet goes to the facet
-    of that sum maximizing its normal, and a removed facet whose owner is
-    outside J empties the count, since its strict side collapses to a
-    constant constraint that fails.
-    """
-
-    def __init__(
-        self, summands: Sequence[Polytope], whole: Polytope, removed: frozenset[int] = frozenset()
-    ):
-        self.summands, self.whole, self.removed = tuple(summands), whole, removed
-        self.D, ints = _scaled([v for S in self.summands for v in S.vertices])
-        it = iter(ints)
-        self.blocks = [[next(it) for _ in S.vertices] for S in self.summands]
-        self.support = _Support(whole, self.D, self.blocks)
-        self.tables: dict[tuple[int, ...], tuple[_Support, frozenset[int]] | None] = {
-            tuple(range(len(self.summands))): (self.support, removed)
-        }
-
-    @cached_property
-    def owners(self) -> tuple[int, ...]:
-        """For each facet of `whole`, the unique summand whose face in that
-        direction is proper."""
-        out = []
-        for _, _, highs, lows in self.support.facets:
-            moving = [j for j, (h, l) in enumerate(zip(highs, lows)) if h != l]
-            if not moving:
-                raise InexactSum("facet attribution failed")
-            if len(moving) > 1:
-                raise InexactSum("facet attribution is ambiguous")
-            out.append(moving[0])
-        return tuple(out)
-
-    def _pattern(self, J: tuple[int, ...]) -> tuple[_Support, frozenset[int]] | None:
-        if any(self.owners[i] not in J for i in self.removed):
-            return None
-        parts = [self.summands[j] for j in J]
-        T = minkowski_sum_all(parts) if parts else origin_polytope(self.whole.ambient_dim)
-        removed = frozenset(_face_index(T, self.whole.facets[i].normal) for i in self.removed)
-        return _Support(T, self.D, [self.blocks[j] for j in J]), removed
-
-    def count(self, n: tuple[int, ...]) -> int:
-        """The count at a checked dilation vector n."""
-        J = tuple(j for j, k in enumerate(n) if k)
-        if J not in self.tables:
-            self.tables[J] = self._pattern(J)
-        entry = self.tables[J]
-        if entry is None:
-            return 0
-        table, removed = entry
-        return table.count([n[j] for j in J], removed)
 
 
 @dataclass(frozen=True)
@@ -247,14 +220,8 @@ class MixedCell:
         return self.cell.dim == sum(R.dim for R in self.summands)
 
     @cached_property
-    def _rescaling(self) -> _Rescaling:
-        return _Rescaling(self.summands, self.cell, self.removed)
-
-    @property
-    def owners(self) -> tuple[int, ...]:
-        """For each facet of the cell, the unique summand whose face in
-        that direction is proper."""
-        return self._rescaling.owners
+    def _rescaling(self) -> _Support:
+        return _Support(self.summands, self.cell, self.removed)
 
     def half_open(self) -> HalfOpenPolytope:
         return HalfOpenPolytope(self.cell, self.removed)
@@ -268,9 +235,10 @@ class MixedCell:
     def summand_half_open(self, j: int) -> HalfOpenPolytope:
         """Summand j carrying the removed facets attributed to it."""
         R = self.summands[j]
+        owners = self._rescaling.owners
         idx = set()
         for i in self.removed:
-            if self.owners[i] == j:
+            if owners[i] == j:
                 idx.add(_face_index(R, self.cell.facets[i].normal))
         return HalfOpenPolytope(R, frozenset(idx))
 
@@ -294,9 +262,9 @@ class Dissection:
         return [c.count() for c in self.cells]
 
     @cached_property
-    def _target_rescaling(self) -> _Rescaling:
+    def _target_rescaling(self) -> _Support:
         """Counts of n1 P1 + ... + nr Pr for the factors Pi."""
-        return _Rescaling(self.factors, minkowski_sum_all(self.factors))
+        return _Support(self.factors, minkowski_sum_all(self.factors))
 
 
 def _sides(c: MixedCell, Dq: int, qi: Sequence[int]) -> list[int]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .dissections import Dissection, MixedCell
-from .geometry import Polytope, contains, convex_hull
+from .geometry import Polytope, contains, convex_hull, minkowski_sum_all
 
 __all__ = [
     "InstanceError",
@@ -235,10 +235,19 @@ def dissection_from_json(doc: Any) -> Dissection:
             convex_hull(points_from_json(rows, dim))
             for rows in _json_list(summand_rows, "'summands'")
         )
+        if not summands:
+            raise InstanceError("a cell needs at least one summand")
+        if factors is not None and len(summands) != len(factors):
+            raise InstanceError("a cell needs one summand per factor")
+        if minkowski_sum_all(summands).vertices != cell_poly.vertices:
+            raise InstanceError("cell summands do not add up to its vertices")
         removed = _json_list(entry.get("removed", []), "'removed'")
         nfacets = len(cell_poly.facets)
         for i in removed:
             if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < nfacets:
                 raise InstanceError(f"removed facet index {i!r} out of range")
-        cells.append(MixedCell(summands, cell_poly, frozenset(removed)))
+        cell = MixedCell(summands, cell_poly, frozenset(removed))
+        if not cell.is_exact:
+            raise InstanceError("cell is not an exact sum of its summands")
+        cells.append(cell)
     return Dissection(target, tuple(cells), opener=opener, factors=factors)

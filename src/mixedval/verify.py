@@ -129,12 +129,10 @@ def run_suite(
     dims: Sequence[int] = (1, 2, 3),
     trials: int = 200,
     seed: int = 42,
-    registry: dict[str, tuple[SuiteBody, int]] | None = None,
 ) -> SuiteResult:
-    table = SUITES if registry is None else registry
-    if name not in table:
+    if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    body, cost = table[name]
+    body, cost = SUITES[name]
     rng = random.Random(f"{seed}:{name}")
     budget = max(1, trials // cost)
     try:
@@ -150,14 +148,9 @@ def run_suites(
     dims: Sequence[int] = (1, 2, 3),
     trials: int = 200,
     seed: int = 42,
-    registry: dict[str, tuple[SuiteBody, int]] | None = None,
 ) -> list[SuiteResult]:
-    table = SUITES if registry is None else registry
-    picked = list(table) if names is None else list(names)
-    return [
-        run_suite(n, dims=dims, trials=trials, seed=seed, registry=registry)
-        for n in picked
-    ]
+    picked = list(SUITES) if names is None else list(names)
+    return [run_suite(n, dims=dims, trials=trials, seed=seed) for n in picked]
 
 
 # -- generators ----------------------------------------------------------------

@@ -242,6 +242,17 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert "forced counterexample" in out
 
 
+def test_a_degenerate_cayley_build_exits_one(instance, capsys, monkeypatch):
+    import mixedval.cli as cli_module
+
+    def degenerate(polys, opener_seed=0):
+        raise mixedval.NotGeneric("no generic opener found")
+
+    monkeypatch.setattr(cli_module, "fine_mixed_dissection", degenerate)
+    assert main(["dissect", "--mode", "cayley", "--input", instance(AXES)]) == 1
+    assert capsys.readouterr().err == "mixedval: error: no generic opener found\n"
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["not-a-command"]) == 1
     assert main(["cm"]) == 1

@@ -163,6 +163,11 @@ def test_dissection_document_rejects_bad_removed_index():
         lambda d: d.update(factors=5),
         lambda d: d.update(target=[5, 6]),
         lambda d: d.update(target=[[]]),
+        # summands that do not add up to the cell, or add up inexactly
+        lambda d: d["cells"][0].update(summands=[[[0], [2]]]),
+        lambda d: d["cells"][0].update(summands=[]),
+        lambda d: d["cells"][0].update(vertices=[[0], [2]], summands=[[[0], [1]], [[0], [1]]]),
+        lambda d: d.update(factors=[[[0], [1]], [[0], [1]]]),
     ],
 )
 def test_dissection_document_rejects_malformed_fields(mutate):

@@ -44,27 +44,25 @@ def test_result_line_format():
     assert "checked" in line
 
 
-def test_injected_failure_is_reported():
+def test_injected_failure_is_reported(monkeypatch):
     # Negative control: a suite that always finds a counterexample.
     def broken(rng, dims, budget):
         return 3, "counterexample text"
 
-    registry = dict(SUITES)
-    registry["broken"] = (broken, 1)
-    res = run_suite("broken", trials=8, seed=1, registry=registry)
+    monkeypatch.setitem(SUITES, "broken", (broken, 1))
+    res = run_suite("broken", trials=8, seed=1)
     assert not res.passed
     assert res.checked == 3
     assert res.counterexample == "counterexample text"
     assert "FAIL" in res.line()
 
 
-def test_injected_crash_is_reported_not_raised():
+def test_injected_crash_is_reported_not_raised(monkeypatch):
     def crashing(rng, dims, budget):
         raise RuntimeError("boom")
 
-    registry = dict(SUITES)
-    registry["crashing"] = (crashing, 1)
-    res = run_suite("crashing", trials=8, seed=1, registry=registry)
+    monkeypatch.setitem(SUITES, "crashing", (crashing, 1))
+    res = run_suite("crashing", trials=8, seed=1)
     assert not res.passed
     assert res.error is not None and "boom" in res.error
     assert "RuntimeError" in res.error
@@ -75,7 +73,7 @@ def test_run_suites_selects_a_subset():
     assert [r.name for r in results] == ["hull-idempotent", "sum-algebra"]
 
 
-def test_broken_math_is_caught_end_to_end():
+def test_broken_math_is_caught_end_to_end(monkeypatch):
     # Negative control with real machinery: feed the volume suite a
     # translation that fakes a defect by perturbing its own check.
     def misstated(rng, dims, budget):
@@ -89,9 +87,8 @@ def test_broken_math_is_caught_end_to_end():
                 return t, f"dim 2 polytope with {len(P.vertices)} vertices"
         return budget, None
 
-    registry = dict(SUITES)
-    registry["misstated"] = (misstated, 1)
-    res = run_suite("misstated", trials=8, seed=1, registry=registry)
+    monkeypatch.setitem(SUITES, "misstated", (misstated, 1))
+    res = run_suite("misstated", trials=8, seed=1)
     assert not res.passed
     assert res.counterexample is not None
 
