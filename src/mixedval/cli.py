@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -297,10 +298,7 @@ def _cmd_mixed_volume(args: argparse.Namespace) -> tuple[dict[str, Any], list[st
 
     table = builtin_valuations()
     total = cm(table["vol"], polys, ambient_dim=d)
-    factorial = 1
-    for k in range(2, d + 1):
-        factorial *= k
-    mv = Fraction(total, factorial)
+    mv = Fraction(total, math.factorial(d))
 
     results: dict[str, Any] = {
         "polytopes": names,

@@ -5,11 +5,12 @@ It takes an integer constraint system and an integer box, and scans the
 box fiber by fiber: the first d-1 coordinates are enumerated and the
 last coordinate's feasible interval is solved from the constraints.  A
 count adds up the fiber lengths, an enumeration expands each fiber.
-_system builds the constraint system and the box of a half-open
-polytope from its facets and vertices, and count_half_open caches its
-counts; the dissections build both for rescaled cells from int support
-numbers and run the same scanner.  Everything is exact integer
-arithmetic; boxes stay small at desk scale (<= 10^6 points).
+One support table, _Support, builds every constraint system the scanner
+takes: a half-open polytope's own, from its facet offsets, and those of
+the rescaled dissection cells and certificate targets, from int support
+numbers of their summands.  count_half_open caches its counts.
+Everything is exact integer arithmetic; boxes stay small at desk scale
+(<= 10^6 points).
 
 A half-open polytope is a base polytope with a subset of facets removed,
 i.e. those inequalities become strict.  The relative interior is the
@@ -55,40 +56,78 @@ def closed(P: Polytope) -> HalfOpenPolytope:
     return HalfOpenPolytope(P, frozenset())
 
 
-def _system(H: HalfOpenPolytope) -> tuple[list[Constraint], Box] | None:
-    """The integerized constraint system of H and its integer box, or None
-    when no lattice point can exist."""
-    base = H.base
-    out: list[Constraint] = []
-    for e, f in base.aff_equalities:
-        if f.denominator != 1:
-            return None
-        fi = f.numerator
-        out.append((e[:-1], e[-1], fi))
-        out.append((tuple(-c for c in e[:-1]), -e[-1], -fi))
-    for i, fct in enumerate(base.facets):
-        b, a = fct.offset, fct.normal
-        if i in H.removed:
-            # a.x < b over integers: a.x <= ceil(b) - 1
-            rhs = -((-b.numerator) // b.denominator) - 1
+class _Support:
+    """The constraint systems of n1 S1 + ... + nr Sr for every n >= 0, from
+    the int support numbers of the summands S1..Sr on the rows of their
+    plain sum T, half-open on the facets `removed` of T.
+
+    The summands' vertices are scaled by one common denominator D.  For
+    each facet normal a of T the table keeps <a, .>'s max on each summand,
+    for each equality row e of aff(T) its value on each summand, and for
+    each coordinate its min and max on each summand; rows are split as the
+    scanner takes them, the last coefficient apart.  In T's own table,
+    summands (T,), the max on a facet is D times its offset, read off
+    without a pass over the vertices.
+
+    One table serves zero factors too.  T's normal fan refines the fan of
+    every sub-sum (Ziegler, Lectures on Polytopes, Prop. 7.12), so each
+    summand's support function is linear on each normal cone of T, and T's
+    facet and equality rows with right-hand sides sum nj hj / D, cut by the
+    n-combined box, are exactly n1 S1 + ... + nr Sr even when some nj = 0.
+    A removed facet whose summand has nj = 0 pairs to a constant on that
+    sum, so its strict row alone makes the count 0.
+    """
+
+    def __init__(
+        self, summands: Sequence[Polytope], T: Polytope, removed: frozenset[int] = frozenset()
+    ):
+        D, ints = _scaled([v for S in summands for v in S.vertices])
+        self.D, self.removed = D, removed
+        blocks, k = [], 0
+        for S in summands:
+            blocks.append(ints[k : k + len(S.vertices)])
+            k += len(S.vertices)
+        if len(summands) == 1 and summands[0] is T:
+            highs = [(f.offset.numerator * (D // f.offset.denominator),) for f in T.facets]
         else:
-            rhs = b.numerator // b.denominator  # floor(b)
-        out.append((a[:-1], a[-1], rhs))
-    box = _box(base)
-    return None if box is None else (out, box)
+            highs = [tuple(max(sum(map(mul, f.normal, v)) for v in pts) for pts in blocks) for f in T.facets]
+        self.facets = [(f.normal[:-1], f.normal[-1], h) for f, h in zip(T.facets, highs)]
+        self.equalities = [
+            (e[:-1], e[-1], tuple(-x for x in e[:-1]), tuple(sum(map(mul, e, pts[0])) for pts in blocks))
+            for e, _ in T.aff_equalities
+        ]
+        cols = [list(zip(*pts)) for pts in blocks]
+        self.box = [(tuple(map(min, c)), tuple(map(max, c))) for c in zip(*cols)]
 
+    def system(self, n: Sequence[int]) -> tuple[list[Constraint], Box] | None:
+        """The constraints and box at a checked dilation vector n, or None
+        when no lattice point can exist: each facet row is <a, x> <=
+        sum ni h_i / D, strict on the removed facets, each equality row
+        <e, x> = sum ni e_i / D (no lattice point unless D divides it),
+        and the box is the n-combination of the summands'."""
+        D, removed = self.D, self.removed
+        cons = []
+        for head, last, neg, vals in self.equalities:
+            s, r = divmod(sum(map(mul, n, vals)), D)
+            if r:
+                return None
+            cons += ((head, last, s), (neg, -last, -s))
+        for i, (head, last, highs) in enumerate(self.facets):
+            s = sum(map(mul, n, highs))
+            # a.x < s / D over integers: a.x <= ceil(s / D) - 1
+            cons.append((head, last, -(-s // D) - 1 if i in removed else s // D))
+        box = []
+        for lows, highs in self.box:
+            lo, hi = -(-sum(map(mul, n, lows)) // D), sum(map(mul, n, highs)) // D
+            if lo > hi:
+                return None
+            box.append((lo, hi))
+        return cons, box
 
-def _box(P: Polytope) -> Box | None:
-    """The integer box: ceil(min / D) and floor(max / D) per coordinate
-    of the vertices scaled by their common denominator D."""
-    D, pts = _scaled(P.vertices)
-    out = []
-    for col in zip(*pts):
-        lo, hi = -(-min(col) // D), max(col) // D
-        if lo > hi:
-            return None
-        out.append((lo, hi))
-    return out
+    def count(self, n: Sequence[int]) -> int:
+        """The count at a checked dilation vector n."""
+        system = self.system(n)
+        return 0 if system is None else _fiber_count(*system)
 
 
 def _fibers(cons: Sequence[Constraint], box: Box) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -130,7 +169,7 @@ def _relint(P: Polytope) -> HalfOpenPolytope:
 
 def half_open_points(H: HalfOpenPolytope) -> list[tuple[int, ...]]:
     """Lattice points of a half-open polytope, lexicographic order."""
-    system = _system(H)
+    system = _Support((H.base,), H.base, H.removed).system((1,))
     if system is None:
         return []
     return [prefix + (x,) for prefix, lo, hi in _fibers(*system) for x in range(lo, hi + 1)]
@@ -149,8 +188,7 @@ def relint_points(P: Polytope) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=1 << 18)
 def count_half_open(H: HalfOpenPolytope) -> int:
     """Number of lattice points of a half-open polytope (cached)."""
-    system = _system(H)
-    return 0 if system is None else _fiber_count(*system)
+    return _Support((H.base,), H.base, H.removed).count((1,))
 
 
 def count_lattice_points(P: Polytope) -> int:

@@ -5,16 +5,8 @@ boundaries.  Making each cell half-open (dropping the facets visible
 from a fixed generic point) turns the cover into an exact partition of
 lattice points, which is what every certificate here counts.  Cells are
 remembered as Minkowski sums, and a cell rescaled summand-wise by n is
-counted without building it: support functions add, so the facets and
-equalities of the plain sum cut out n1 S1 + ... + nr Sr with right-hand
-sides that are int combinations of per-summand support numbers, computed
-once per cell (and once per certificate target) over one common
-denominator.  One table serves every n >= 0, zero factors included: the
-plain sum's normal fan refines the fan of every sub-sum (Ziegler,
-Lectures on Polytopes, Prop. 7.12), so each summand's support function
-is linear on its normal cones.  A removed facet whose summand is scaled
-to a point pairs to a constant on the rescaled cell, and its strict row
-empties the count.
+counted without building it, from the support table of counting._Support
+(once per cell and once per certificate target).
 """
 
 from __future__ import annotations
@@ -27,7 +19,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .counting import HalfOpenPolytope, _fiber_count, count_half_open
+from .counting import HalfOpenPolytope, _Support, count_half_open
 from .geometry import (
     CertificateError,
     DimensionMismatch,
@@ -115,87 +107,6 @@ def _face_index(P: Polytope, a: tuple[int, ...]) -> int:
     return idx
 
 
-class _Support:
-    """Counts of n1 S1 + ... + nr Sr for every n >= 0, from the int support
-    numbers of the summands S1..Sr on the rows of their plain sum T, half-
-    open on the facets `removed` of T.
-
-    The summands' vertices are scaled by one common denominator D.  For
-    each facet normal a of T the table keeps <a, .>'s max and min on each
-    summand, for each equality row e of aff(T) its value on each summand,
-    and for each coordinate its min and max on each summand; rows are split
-    as the scanner takes them, the last coefficient apart.
-
-    One table serves zero factors too.  T's normal fan refines the fan of
-    every sub-sum (Ziegler, Lectures on Polytopes, Prop. 7.12), so each
-    summand's support function is linear on each normal cone of T, and T's
-    facet and equality rows with right-hand sides sum nj hj / D, cut by the
-    n-combined box, are exactly n1 S1 + ... + nr Sr even when some nj = 0.
-    A removed facet whose owner has nj = 0 pairs to a constant on that sum,
-    so its strict row alone makes the count 0.
-    """
-
-    def __init__(
-        self, summands: Sequence[Polytope], T: Polytope, removed: frozenset[int] = frozenset()
-    ):
-        self.removed = removed
-        self.D, ints = _scaled([v for S in summands for v in S.vertices])
-        it = iter(ints)
-        blocks = [[next(it) for _ in S.vertices] for S in summands]
-        self.facets = []
-        for f in T.facets:
-            a = f.normal
-            vals = [[sum(map(mul, a, v)) for v in pts] for pts in blocks]
-            self.facets.append((a[:-1], a[-1], tuple(map(max, vals)), tuple(map(min, vals))))
-        self.equalities = [
-            (e[:-1], e[-1], tuple(-x for x in e[:-1]), tuple(sum(map(mul, e, pts[0])) for pts in blocks))
-            for e, _ in T.aff_equalities
-        ]
-        cols = [tuple(zip(*pts)) for pts in blocks]
-        self.box = [
-            (tuple(min(c[i]) for c in cols), tuple(max(c[i]) for c in cols))
-            for i in range(T.ambient_dim)
-        ]
-
-    @cached_property
-    def owners(self) -> tuple[int, ...]:
-        """For each facet of T, the unique summand whose face in that
-        direction is proper."""
-        out = []
-        for _, _, highs, lows in self.facets:
-            moving = [j for j, (h, l) in enumerate(zip(highs, lows)) if h != l]
-            if not moving:
-                raise InexactSum("facet attribution failed")
-            if len(moving) > 1:
-                raise InexactSum("facet attribution is ambiguous")
-            out.append(moving[0])
-        return tuple(out)
-
-    def count(self, n: Sequence[int]) -> int:
-        """The count at a checked dilation vector n: each facet row is
-        <a, x> <= sum ni h_i / D, strict on the removed facets, each
-        equality row <e, x> = sum ni e_i / D (no lattice point unless D
-        divides it), and the box is the n-combination of the summands'."""
-        D, removed = self.D, self.removed
-        cons = []
-        for head, last, neg, vals in self.equalities:
-            s, r = divmod(sum(map(mul, n, vals)), D)
-            if r:
-                return 0
-            cons += ((head, last, s), (neg, -last, -s))
-        for i, (head, last, highs, _) in enumerate(self.facets):
-            s = sum(map(mul, n, highs))
-            # a.x < s / D over integers: a.x <= ceil(s / D) - 1
-            cons.append((head, last, -(-s // D) - 1 if i in removed else s // D))
-        box = []
-        for lows, highs in self.box:
-            lo, hi = -(-sum(map(mul, n, lows)) // D), sum(map(mul, n, highs)) // D
-            if lo > hi:
-                return 0
-            box.append((lo, hi))
-        return _fiber_count(cons, box)
-
-
 @dataclass(frozen=True)
 class MixedCell:
     """A dissection cell remembered as a Minkowski sum.
@@ -233,14 +144,18 @@ class MixedCell:
         return MixedCell(self.summands, self.cell, removed)
 
     def summand_half_open(self, j: int) -> HalfOpenPolytope:
-        """Summand j carrying the removed facets attributed to it."""
-        R = self.summands[j]
-        owners = self._rescaling.owners
+        """Summand j carrying the removed facets attributed to it: a facet
+        of the cell belongs to the one summand whose face in its direction
+        is proper, the one on which its normal is not constant."""
         idx = set()
         for i in self.removed:
-            if owners[i] == j:
-                idx.add(_face_index(R, self.cell.facets[i].normal))
-        return HalfOpenPolytope(R, frozenset(idx))
+            a = self.cell.facets[i].normal
+            moving = [k for k, R in enumerate(self.summands) if len({dot(a, v) for v in R.vertices}) > 1]
+            if len(moving) != 1:
+                raise InexactSum(f"facet attribution {'is ambiguous' if moving else 'failed'}")
+            if moving[0] == j:
+                idx.add(_face_index(self.summands[j], a))
+        return HalfOpenPolytope(self.summands[j], frozenset(idx))
 
 
 @dataclass(frozen=True)
@@ -517,7 +432,7 @@ def placing_triangulation(P: Polytope) -> Dissection:
     """
     P = _require_polytope(P)
     cells = []
-    for c in placing_cells(P.vertices, range(len(P.vertices))):
+    for c in placing_cells(P.vertices):
         verts = tuple(sorted(P.vertices[t] for t in c))
         simplex = Polytope(P.ambient_dim, verts, _lattice_tag(verts, None))
         cells.append(MixedCell((simplex,), simplex))
@@ -555,7 +470,7 @@ def _cayley_cells(
     triangulation of the Cayley points `pts`, placed in list order, as
     index cells, and each maximal simplex pulled back to a mixed cell of
     the sum.  No hull of the points is built."""
-    index_cells = placing_cells(pts, range(len(pts)))
+    index_cells = placing_cells(pts)
     return index_cells, tuple(_pull_back([pts[t] for t in c], d, r) for c in index_cells)
 
 

@@ -207,7 +207,7 @@ class Polytope:
         _, C, pivots = self._chart
         k, d = len(C), self.ambient_dim
         if k == d:
-            return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1
+            return _identity_lift(d)
         eye = [[int(i == j) for j in range(k)] for i in range(k)]
         inv = reduced_echelon([sum(map(mul, a, b)) for b in C] + e for a, e in zip(C, eye))
         L = lcm(*(r[c] for c, r in inv))
@@ -306,6 +306,12 @@ class Polytope:
 
     def __repr__(self) -> str:
         return f"Polytope(dim={self.dim}, ambient={self.ambient_dim}, nverts={len(self.vertices)}, lattice={self.lattice})"
+
+
+@lru_cache(maxsize=None)
+def _identity_lift(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The lift of a full-dimensional polytope, one shared object per d."""
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1
 
 
 def _prepopulate(
@@ -654,8 +660,8 @@ def contains(P: Polytope, Q: Polytope) -> bool:
 # -- triangulation and volume ---------------------------------------------------
 
 
-def placing_cells(loc: Sequence[Sequence], order: Sequence[int]) -> list[tuple[int, ...]]:
-    """Placing triangulation of conv(loc), processing points in `order`.
+def placing_cells(loc: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """Placing triangulation of conv(loc), placing the points in list order.
 
     Returns top-dimensional simplices as index tuples.  Points inside
     the hull of their predecessors contribute nothing; a point beyond a
@@ -683,8 +689,7 @@ def placing_cells(loc: Sequence[Sequence], order: Sequence[int]) -> list[tuple[i
                 cnt, apex = faces.get(f, (0, c[drop]))
                 faces[f] = (cnt + 1, apex)
 
-    for idx in order:
-        p = pts[idx]
+    for idx, p in enumerate(pts):
         if origin is None:
             origin = p
             cells = [(idx,)]

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 from .counting import count_lattice_points, count_relint_points, euler_relint_value
 from .geometry import (
     EMPTY,
+    DimensionMismatch,
     LatticeMismatch,
     Polytope,
     cut_halfspace,
@@ -117,12 +118,15 @@ def cm_terms(
     Bit i of mask selects polys[i]; value is phi of the Minkowski sum of
     the selected polytopes (the origin for mask 0) and sign is
     (-1)^(r - |mask|).  With no polytopes the one term is phi({0}); pass
-    ambient_dim to say where that origin lives.
+    ambient_dim to say where that origin lives.  With polytopes an
+    ambient_dim other than theirs raises DimensionMismatch.
     """
     polys = [_require_polytope(P) for P in polys]
     r = len(polys)
     if r:
         d = _common_ambient(polys)
+        if ambient_dim not in (None, d):
+            raise DimensionMismatch(f"ambient_dim {ambient_dim} does not match the polytopes' {d}")
     elif ambient_dim is None:
         raise ValueError("ambient_dim is required when no polytopes are given")
     else:

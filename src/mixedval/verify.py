@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .counting import (
-    _box,
     count_half_open,
     count_lattice_points,
     euler_relint_value,
@@ -143,14 +142,12 @@ def run_suite(
 
 
 def run_suites(
-    names: Iterable[str] | None = None,
     *,
     dims: Sequence[int] = (1, 2, 3),
     trials: int = 200,
     seed: int = 42,
 ) -> list[SuiteResult]:
-    picked = list(SUITES) if names is None else list(names)
-    return [run_suite(n, dims=dims, trials=trials, seed=seed) for n in picked]
+    return [run_suite(n, dims=dims, trials=trials, seed=seed) for n in SUITES]
 
 
 # -- generators ----------------------------------------------------------------
@@ -433,7 +430,8 @@ def _mixed_additive(rng, dims, budget):
     for t in range(budget):
         d = max(2, _dim(rng, dims))
         box = random_lattice_box(rng, d, bound=3)
-        axis, (lo, hi) = max(enumerate(_box(box)), key=lambda t: t[1][1] - t[1][0])
+        extents = [(int(min(c)), int(max(c))) for c in zip(*box.vertices)]
+        axis, (lo, hi) = max(enumerate(extents), key=lambda t: t[1][1] - t[1][0])
         if hi - lo < 2:
             continue
         c = rng.randint(lo + 1, hi - 1)

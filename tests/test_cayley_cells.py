@@ -37,7 +37,7 @@ from .test_scaled_sum import _lower
 def _charted_cells(pts, chart):
     """Placing cells of the points in list order, on their coordinates
     in the chart of their hull."""
-    return placing_cells(_integer_chart(pts, chart)[1], list(range(len(pts))))
+    return placing_cells(_integer_chart(pts, chart)[1])
 
 
 def _charted_triangulation(P):

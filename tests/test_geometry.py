@@ -239,6 +239,15 @@ def test_int_chart_matches_the_fraction_reference():
             assert all(m == L * x for mr, xr in zip(M, X, strict=True) for m, x in zip(mr, xr, strict=True)), label
 
 
+def test_full_dimensional_polytopes_share_one_identity_lift():
+    rng = random.Random(31)
+    for d in (1, 2, 3, 4):
+        P = random_lattice_polytope(rng, d, max_vertices=d + 3, bound=2, full_dim=True)
+        Q = convex_hull([tuple(x + 1 for x in v) for v in P.vertices])
+        assert P._lift is Q._lift
+        assert P._lift == (tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1)
+
+
 def _three_dimensional_sum_pairs():
     """Seeded summand pairs whose Minkowski sum is 3-dimensional."""
     rng = random.Random(4141)

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixedval import (
+    DimensionMismatch,
     HStarVector,
     LatticeMismatch,
     ReconstructionError,
@@ -101,6 +102,14 @@ def test_cm_with_no_polytopes_needs_a_dimension():
     assert cm(DVOL, [], ambient_dim=2) == 1
     with pytest.raises(ValueError):
         cm(DVOL, [])
+
+
+def test_an_ambient_dim_against_the_polytopes_is_a_dimension_mismatch(unit_square, unit_triangle):
+    polys = [unit_square, unit_triangle]
+    assert cm(DVOL, polys, ambient_dim=2) == cm(DVOL, polys)
+    for phi in (cm, cm_terms):
+        with pytest.raises(DimensionMismatch, match="ambient_dim 3"):
+            phi(DVOL, polys, ambient_dim=3)
 
 
 @pytest.mark.parametrize("phi", [DVOL, VOL, EULER, INTERIOR])

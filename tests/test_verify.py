@@ -68,9 +68,10 @@ def test_injected_crash_is_reported_not_raised(monkeypatch):
     assert "RuntimeError" in res.error
 
 
-def test_run_suites_selects_a_subset():
-    results = run_suites(["hull-idempotent", "sum-algebra"], trials=8, seed=1)
+def test_a_subset_runs_one_suite_at_a_time():
+    results = [run_suite(n, trials=8, seed=1) for n in ("hull-idempotent", "sum-algebra")]
     assert [r.name for r in results] == ["hull-idempotent", "sum-algebra"]
+    assert all(r.passed for r in results)
 
 
 def test_broken_math_is_caught_end_to_end(monkeypatch):
