@@ -10,7 +10,9 @@ Report JSON (under ``--json``) is byte-stable for a fixed input file,
 seed, and package version: field order is fixed, rationals are rendered
 in lowest terms, and wall-clock timing goes to stderr only.
 
-Exit codes: 0 success, 1 bad input or usage, 2 a checked property failed.
+Exit codes: 0 success, 1 bad input or usage or a stdout closed before the
+report was written, 2 a checked property failed (also when stdout was
+closed).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -551,7 +554,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"mixedval: check failed: {exc}", file=sys.stderr)
         return 2
 
-    _emit(report, lines, args.json)
+    try:
+        _emit(report, lines, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit raises nothing either (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code or 1
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 

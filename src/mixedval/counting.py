@@ -66,8 +66,9 @@ class _Support:
     for each equality row e of aff(T) its value on each summand, and for
     each coordinate its min and max on each summand; rows are split as the
     scanner takes them, the last coefficient apart.  In T's own table,
-    summands (T,), the max on a facet is D times its offset, read off
-    without a pass over the vertices.
+    summands (T,), the max on a facet is D times its offset and the value
+    on an equality row D times its right-hand side, read off without a
+    pass over the vertices, and no block is split off.
 
     One table serves zero factors too.  T's normal fan refines the fan of
     every sub-sum (Ziegler, Lectures on Polytopes, Prop. 7.12), so each
@@ -83,21 +84,23 @@ class _Support:
     ):
         D, ints = _scaled([v for S in summands for v in S.vertices])
         self.D, self.removed = D, removed
-        blocks, k = [], 0
-        for S in summands:
-            blocks.append(ints[k : k + len(S.vertices)])
-            k += len(S.vertices)
         if len(summands) == 1 and summands[0] is T:
             highs = [(f.offset.numerator * (D // f.offset.denominator),) for f in T.facets]
+            values = [(f.numerator * (D // f.denominator),) for _, f in T.aff_equalities]
+            self.box = [((min(c),), (max(c),)) for c in zip(*ints)]
         else:
+            blocks, k = [], 0
+            for S in summands:
+                blocks.append(ints[k : k + len(S.vertices)])
+                k += len(S.vertices)
             highs = [tuple(max(sum(map(mul, f.normal, v)) for v in pts) for pts in blocks) for f in T.facets]
+            values = [tuple(sum(map(mul, e, pts[0])) for pts in blocks) for e, _ in T.aff_equalities]
+            cols = [list(zip(*pts)) for pts in blocks]
+            self.box = [(tuple(map(min, c)), tuple(map(max, c))) for c in zip(*cols)]
         self.facets = [(f.normal[:-1], f.normal[-1], h) for f, h in zip(T.facets, highs)]
         self.equalities = [
-            (e[:-1], e[-1], tuple(-x for x in e[:-1]), tuple(sum(map(mul, e, pts[0])) for pts in blocks))
-            for e, _ in T.aff_equalities
+            (e[:-1], e[-1], tuple(-x for x in e[:-1]), v) for (e, _), v in zip(T.aff_equalities, values)
         ]
-        cols = [list(zip(*pts)) for pts in blocks]
-        self.box = [(tuple(map(min, c)), tuple(map(max, c))) for c in zip(*cols)]
 
     def system(self, n: Sequence[int]) -> tuple[list[Constraint], Box] | None:
         """The constraints and box at a checked dilation vector n, or None

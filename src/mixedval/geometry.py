@@ -13,14 +13,22 @@ Conventions:
   evaluation; geometric operations reject it
 
 One routine, _hull, finds the vertices, the facets and their tight sets
-of every polytope in every dimension, by beneath-beyond.  It runs in
+of a point set in every dimension, by beneath-beyond.  It runs in
 Python int on the points scaled by one common denominator D, in the
 affine chart whose basis is the reduced int echelon of their directions,
 where local coordinates are pivot entries; only the vertices and the
 facet offsets go back to Fraction.  convex_hull runs it on its input and
-a raw-constructed Polytope on its own vertices; a Minkowski sum scales
-both summands by one D and hulls the distinct int vertex sums.  A scaled
-sum n1 P1 + ... + nr Pr with every ni > 0 runs no hull: it has the
+a raw-constructed Polytope on its own vertices.
+
+A Minkowski sum scales both summands by one D.  When the sum's affine
+hull is a plane, whatever the ambient dimension, its chart is read off
+the summands' charts and the sum runs no hull: the two edge cycles,
+points and segments included, are merged by slope with int cross
+products in O(|V(P)| + |V(Q)|) after sorting each (de Berg, Cheong, van
+Kreveld & Overmars, Computational Geometry, 3rd ed., section 13.3), and
+the merge gives the vertices, each edge's normal and its two-vertex
+tight set.  Any other sum hulls the distinct int vertex sums.  A scaled
+sum n1 P1 + ... + nr Pr with every ni > 0 runs neither: it has the
 normal fan of P1 + ... + Pr (Ziegler, Lectures on Polytopes, Prop. 7.12)
 and is read off that sum's facets.
 
@@ -48,8 +56,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
-from operator import add, mul
-from typing import Iterable, Sequence
+from operator import add, itemgetter, mul
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     Vec,
@@ -70,7 +78,9 @@ from .linalg import (
 )
 
 Point = Vec
-# (origin, int basis rows of lin(aff P), their pivot columns)
+# (int basis rows of lin(aff P), their pivot columns)
+Span = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+# (origin, *span)
 Chart = tuple[Point, tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
@@ -188,9 +198,10 @@ class Polytope:
     def _facet_data(self) -> tuple[tuple[Facet, ...], tuple[frozenset[int], ...]]:
         if self.dim == 0:
             return (), ()
-        D, loc = _integer_chart(self.vertices, self._chart)
+        _, loc = _integer_chart(self.vertices, self._chart)
         _, facets = _hull(loc, self.dim)
-        return self._assemble_facets(facets, D)
+        normals = ((alpha, tight) for alpha, _, tight in facets)
+        return self._assemble_facets(normals, *_scaled(self.vertices))
 
     @cached_property
     def _lift(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -217,22 +228,26 @@ class Polytope:
         return tuple(tuple(x // g for x in row) for row in m), L // g
 
     def _assemble_facets(
-        self, chart_facets: Iterable[tuple[tuple[int, ...], int, frozenset[int]]], D: int
+        self,
+        chart_facets: Iterable[tuple[tuple[int, ...], frozenset[int]]],
+        D: int,
+        ints: Sequence[tuple[int, ...]],
     ) -> tuple[tuple[Facet, ...], tuple[frozenset[int], ...]]:
-        """Sorted ambient facets and their tight sets from facets
-        <alpha, u> <= beta of the integer chart scaled by D."""
-        E, (oe,) = _scaled([self._chart[0]])
-        M, L = self._lift
+        """Sorted ambient facets and their tight sets from the outward
+        normals alpha of the facets in the chart and their tight sets, for
+        ints the vertices times D: the lifted normal, made primitive, takes
+        its offset at a vertex of the facet."""
+        M, _ = self._lift
         out = []
-        for alpha, beta, tight in chart_facets:
+        for alpha, tight in chart_facets:
             a = [sum(map(mul, row, alpha)) for row in M]
             g = gcd(*a)
-            a = tuple(x // g for x in a)
-            # <a, x> <= L beta / (D g) + <a, o>
-            c = rational(L * beta * E + D * g * sum(map(mul, a, oe)), D * g * E)
-            out.append((Facet(a, c), tight))
-        out.sort(key=lambda ft: ft[0])
-        return tuple(f for f, _ in out), tuple(t for _, t in out)
+            out.append((tuple(x // g for x in a), tight))
+        out.sort(key=itemgetter(0))  # facet normals are distinct
+        return (
+            tuple(Facet(a, rational(sum(map(mul, a, ints[min(t)])), D)) for a, t in out),
+            tuple(t for _, t in out),
+        )
 
     @property
     def facets(self) -> tuple[Facet, ...]:
@@ -274,17 +289,34 @@ class Polytope:
         return tuple((pts[i], pts[j], primitive(vsub(pts[j], pts[i]))) for i, j in self.edges)
 
     @cached_property
-    def simplex_spans(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-        """Distinct direction spans of simplices on the vertices, dim >= 1, as
-        (dimension, span_key) pairs, largest first, found on the int-scaled vertices."""
-        _, pts = _scaled(self.vertices)
-        found: dict[tuple[tuple[int, ...], ...], int] = {}
-        for k in range(1, self.dim + 1):
-            for sub in combinations(pts, k + 1):
+    def _span_search(self) -> dict[int, tuple[list, set, Iterator]]:
+        """k -> (spans found, the same as a set, the (k+1)-subsets not yet read)."""
+        return {}
+
+    def _simplex_spans(self, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """The distinct direction spans of the k-simplices on the vertices,
+        1 <= k <= dim, as span keys: the chart basis for k = dim, else in
+        the order of their first (k+1)-subset of the int-scaled vertices.
+        They are found as they are asked for and kept, so a later or a
+        nested iteration reads them again and resumes the search."""
+        if k == self.dim:
+            yield self._chart[1]
+            return
+        if k not in self._span_search:
+            self._span_search[k] = ([], set(), combinations(_scaled(self.vertices)[1], k + 1))
+        found, seen, subsets = self._span_search[k]
+        i = 0
+        while True:
+            while i == len(found):
+                sub = next(subsets, None)
+                if sub is None:
+                    return
                 key = span_key([[x - y for x, y in zip(p, sub[0])] for p in sub[1:]])
-                if len(key) == k:
-                    found.setdefault(key, k)
-        return tuple(sorted(((k, key) for key, k in found.items()), key=lambda t: -t[0]))
+                if len(key) == k and key not in seen:
+                    seen.add(key)
+                    found.append(key)
+            yield found[i]
+            i += 1
 
     # -- predicates ----------------------------------------------------------
 
@@ -457,26 +489,38 @@ def _hull_polytope(D: int, points: Sequence[tuple[int, ...]], lattice: str | Non
     """The polytope conv(points) / D of distinct int points in sorted order.
 
     One beneath-beyond pass over the points in integer chart coordinates
-    (_hull) gives the vertices, the facets and their tight sets; facets
-    are filled in from the same pass, and Fraction is built only for the
-    vertices and the facet offsets.
+    (_hull) gives the vertices, the facets and their tight sets.
     """
     basis, pivots = _span_basis(points)
     k = len(pivots)
     o = points[0]
     loc = [tuple(p[c] - o[c] for c in pivots) for p in points]
     chosen, facets = _hull(loc, k) if k else ([0], [])
-    verts = tuple(tuple(rational(x, D) for x in points[i]) for i in chosen)
-    P = Polytope(len(o), verts, _lattice_tag(verts, lattice))
-    # points[0] is the least point, hence P's first vertex, and the
-    # reduced echelon depends on the span alone: P's own chart is this one
-    P.__dict__["_chart"] = (verts[0], basis, pivots)
     position = {i: n for n, i in enumerate(chosen)}
     on_vertices = [
-        (alpha, beta, frozenset(position[i] for i in tight if i in position))
-        for alpha, beta, tight in facets
+        (alpha, frozenset(position[i] for i in tight if i in position))
+        for alpha, _, tight in facets
     ]
-    return _prepopulate(P, *P._assemble_facets(on_vertices, D))
+    return _assembled(D, [points[i] for i in chosen], (basis, pivots), on_vertices, lattice)
+
+
+def _assembled(
+    D: int,
+    vertices: Sequence[tuple[int, ...]],
+    span: Span,
+    chart_facets: Iterable[tuple[tuple[int, ...], frozenset[int]]],
+    lattice: str | None = None,
+) -> Polytope:
+    """The polytope with the sorted distinct int vertices over D, the chart
+    basis and pivots of its span, and the outward chart normals of its
+    facets with their tight sets on the vertex positions; Fraction is
+    built only for the vertices and the facet offsets.  The least vertex
+    is the chart origin, and the reduced echelon depends on the span
+    alone, so this is P's own chart."""
+    verts = tuple(tuple(rational(x, D) for x in v) for v in vertices)
+    P = Polytope(len(verts[0]), verts, _lattice_tag(verts, lattice))
+    P.__dict__["_chart"] = (verts[0], *span)
+    return _prepopulate(P, *P._assemble_facets(chart_facets, D, vertices))
 
 
 def point_polytope(coords: Sequence) -> Polytope:
@@ -545,19 +589,126 @@ def dilate(P: Polytope, n: int) -> Polytope:
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
-    """The Minkowski sum P + Q: the hull of the vertex sums.
+    """The Minkowski sum P + Q.
 
     Exact for lattice and rational summands in every dimension.  Both
-    summands are scaled by one common denominator D, and the distinct
-    int vertex sums are hulled as they are; D > 0 keeps their order.
+    summands are scaled by one common denominator D.  A sum whose affine
+    hull is a plane merges the two edge cycles (_plane_sum); any other
+    hulls the distinct int vertex sums as they are, D > 0 keeping their
+    order.
     """
     P, Q = _require_polytope(P), _require_polytope(Q)
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("summands live in different ambient spaces")
     D, ints = _scaled(P.vertices + Q.vertices)
     n = len(P.vertices)
+    span = _plane_span(P, Q)
+    if span is not None:
+        return _plane_sum(D, ints[:n], ints[n:], span)
     sums = sorted({tuple(map(add, p, q)) for p in ints[:n] for q in ints[n:]})
     return _hull_polytope(D, sums, None)
+
+
+def _plane_span(P: Polytope, Q: Polytope) -> Span | None:
+    """The chart basis and pivots of lin(aff P) + lin(aff Q) when that is a
+    plane, else None."""
+    if P.dim < Q.dim:
+        P, Q = Q, P
+    if P.dim > 2 or P.dim + Q.dim < 2:
+        return None
+    _, basis, pivots = P._chart
+    if P.dim == 2:
+        rows = [(c, list(r)) for r, c in zip(basis, pivots)]
+        return None if any(extend_echelon(rows, r) for r in Q._chart[1]) else (basis, pivots)
+    ech = reduced_echelon(basis + Q._chart[1])
+    return (tuple(tuple(r) for _, r in ech), tuple(c for c, _ in ech)) if len(ech) == 2 else None
+
+
+def _plane_sum(
+    D: int,
+    ps: Sequence[tuple[int, ...]],
+    qs: Sequence[tuple[int, ...]],
+    span: Span,
+) -> Polytope:
+    """conv(ps) + conv(qs) over D, for int points whose sum spans a plane
+    with the chart basis and pivots `span`: the two counterclockwise edge
+    cycles are merged by slope (de Berg, Cheong, van Kreveld & Overmars,
+    Computational Geometry, 3rd ed., 2008, section 13.3).
+
+    Chart coordinates are the pivot entries (a, b).  Each cycle starts at
+    its least point in (b, a) order, so its edge directions rise in angle
+    from the a axis over [0, 2 pi); the sum's cycle starts at the sum of
+    the two starts and takes the edge of smaller angle next, both edges
+    at once when they are parallel (a zero cross product in one half
+    plane), so no vertex of the sum lies inside an edge.  An edge e of
+    the sum has the outward chart normal (e_b, -e_a) and tight set its
+    two ends.  A point cycle has no edges and a segment two."""
+    a, b = span[1]
+    cp, cq = _plane_cycle(ps, a, b), _plane_cycle(qs, a, b)
+    ep, eq = _cycle_edges(cp, a, b), _cycle_edges(cq, a, b)
+    ring, steps = [], []
+    i = j = 0
+    while i < len(ep) or j < len(eq):
+        ring.append(tuple(map(add, cp[i % len(cp)], cq[j % len(cq)])))
+        if j == len(eq):
+            order = -1
+        elif i == len(ep):
+            order = 1
+        else:
+            order = _angle_order(ep[i], eq[j])
+        if order <= 0:
+            step, i = ep[i], i + 1
+            if order == 0:
+                step, j = tuple(map(add, step, eq[j])), j + 1
+        else:
+            step, j = eq[j], j + 1
+        steps.append(step)
+    vertices = sorted(ring)
+    position = {v: k for k, v in enumerate(vertices)}
+    facets = [
+        ((eb, -ea), frozenset((position[v], position[w])))
+        for v, w, (ea, eb) in zip(ring, ring[1:] + ring[:1], steps)
+    ]
+    return _assembled(D, vertices, span, facets)
+
+
+def _plane_cycle(points: Sequence[tuple[int, ...]], a: int, b: int) -> list[tuple[int, ...]]:
+    """The extreme points of int points on a plane where the pivot columns
+    a, b are coordinates, counterclockwise in (a, b) from the least in
+    (b, a) order: Andrew's monotone chain, sweeping in that order."""
+    pts = sorted(set(points), key=lambda p: (p[b], p[a]))
+    if len(pts) == 1:
+        return pts
+    cycle: list[tuple[int, ...]] = []
+    for sweep in (pts, pts[::-1]):
+        start = len(cycle)
+        for p in sweep:
+            while len(cycle) >= start + 2:
+                o, q = cycle[-2], cycle[-1]
+                if (q[a] - o[a]) * (p[b] - o[b]) - (q[b] - o[b]) * (p[a] - o[a]) > 0:
+                    break
+                cycle.pop()
+            cycle.append(p)
+        cycle.pop()
+    return cycle
+
+
+def _cycle_edges(cycle: Sequence[tuple[int, ...]], a: int, b: int) -> list[tuple[int, int]]:
+    """The chart edge vectors of a counterclockwise cycle; none for a point."""
+    if len(cycle) == 1:
+        return []
+    return [(q[a] - p[a], q[b] - p[b]) for p, q in zip(cycle, [*cycle[1:], cycle[0]])]
+
+
+def _angle_order(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """-1, 0 or 1 as the angle of u from the first axis, in [0, 2 pi), is
+    less than, equal to or greater than that of v."""
+    hu = u[1] < 0 or (u[1] == 0 and u[0] < 0)
+    hv = v[1] < 0 or (v[1] == 0 and v[0] < 0)
+    if hu != hv:
+        return 1 if hu else -1
+    cross = u[0] * v[1] - u[1] * v[0]
+    return (cross < 0) - (cross > 0)
 
 
 _cached_sum = lru_cache(maxsize=1 << 16)(minkowski_sum)

@@ -2,17 +2,20 @@
 
 The mixed count of a tuple of lattice polytopes is positive exactly when
 one can pick a lattice segment inside each polytope so that the picked
-directions are linearly independent.  Harvesting one candidate segment
-per edge is enough: every lattice segment inside a polytope has its
-direction in the span of that polytope's edge directions, and the
-existence of an independent pick only depends on those spans.
+directions are linearly independent.  Edges are enough: every lattice
+segment inside a polytope has its direction in the span of that
+polytope's edge directions.  So are dim P edges of each P whose
+directions span that space: by Rado's theorem (Oxley, Matroid Theory,
+2nd ed., section 11.2) an independent pick exists exactly when every
+union of the polytopes' direction sets has rank at least its number of
+polytopes, and that depends on the spans alone.
 
 Finding such a pick is a matroid intersection problem: the directions
 must be independent in the linear matroid, and the partition matroid
 allows at most one segment per polytope.  This module implements the
 segment harvest, an exact augmenting-path intersection solver, the
 positivity decision built on them, and a lower bound obtained from
-products of simplex dimensions.
+products of simplex dimensions, searched one size vector at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .geometry import LatticeMismatch, Polytope, _common_ambient, _require_polytope
@@ -66,7 +70,9 @@ class Segment:
 
 
 def candidate_segments(polys: Sequence[Polytope]) -> list[Segment]:
-    """One segment per edge of each polytope, tagged with its owner index.
+    """Edges of each polytope whose directions span its linear space, dim P
+    of them, tagged with the owner index: the first edge and each later
+    one whose direction leaves the span of those kept.
 
     A point polytope has no edges and contributes nothing, which makes
     every positivity query involving it fail, as it should.
@@ -76,7 +82,12 @@ def candidate_segments(polys: Sequence[Polytope]) -> list[Segment]:
         P = _require_polytope(P)
         if not P.is_integral:
             raise LatticeMismatch("candidate segments need integer vertices")
-        out.extend(Segment(i, (a, b), u) for a, b, u in P.integer_edges)
+        echelon: list[tuple[int, list[int]]] = []
+        for a, b, u in P.integer_edges:
+            if len(echelon) == P.dim:
+                break
+            if extend_echelon(echelon, u):
+                out.append(Segment(i, (a, b), u))
     return out
 
 
@@ -225,8 +236,15 @@ def cylinder_lower_bound(polys: Sequence[Polytope]) -> int:
     product of the dimensions.  The mixed lattice-point count of the
     tuple is at least the returned value.  Zero means no such choice
     exists, and by the segment criterion the mixed count is then zero
-    as well.  Simplices with one span are interchangeable here, so each
-    polytope offers one per span (Polytope.simplex_spans).
+    as well.
+
+    The size vectors (k1..kr), 1 <= ki <= dim Pi and sum ki <= d, are
+    tried in decreasing product, and the first that admits a choice
+    gives the bound; with more polytopes than dimensions there is no
+    size vector and the bound is 0.  Simplices with one span are
+    interchangeable here, so Pi offers one per span of its ki-simplices,
+    generated as the search asks for them and kept on Pi
+    (Polytope._simplex_spans).
     """
     polys = [_require_polytope(P) for P in polys]
     r = len(polys)
@@ -236,27 +254,26 @@ def cylinder_lower_bound(polys: Sequence[Polytope]) -> int:
     for P in polys:
         if not P.is_integral:
             raise LatticeMismatch("the lower bound is about lattice polytopes")
-    candidates = [P.simplex_spans for P in polys]
-    if any(not c for c in candidates):
-        return 0
-    suffix = [1] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * candidates[i][0][0]
-    best = 0
 
-    def search(i: int, echelon: list[tuple[int, list[int]]], prod: int) -> None:
-        nonlocal best
+    def choose(i: int, sizes: tuple[int, ...], echelon: list[tuple[int, list[int]]]) -> bool:
         if i == r:
-            best = max(best, prod)
-            return
-        if prod * suffix[i] <= best:
-            return
-        for k, basis in candidates[i]:
-            if len(echelon) + k > d:
-                continue
+            return True
+        for basis in polys[i]._simplex_spans(sizes[i]):
             branch = list(echelon)
-            if all(extend_echelon(branch, row) for row in basis):
-                search(i + 1, branch, prod * k)
+            if all(extend_echelon(branch, row) for row in basis) and choose(i + 1, sizes, branch):
+                return True
+        return False
 
-    search(0, [], 1)
-    return best
+    sizes = _size_vectors([P.dim for P in polys], d)
+    return next((prod(s) for s in sizes if choose(0, s, [])), 0)
+
+
+def _size_vectors(dims: Sequence[int], d: int) -> list[tuple[int, ...]]:
+    """The (k1..kr) with 1 <= ki <= dims[i] and sum ki <= d, in decreasing
+    product.  Each ki leaves one for every later entry, so only tuples
+    that can be completed are built, and none at all when r > d."""
+    sizes: list[tuple[int, ...]] = [()]
+    for i, k in enumerate(dims):
+        later = len(dims) - i - 1
+        sizes = [s + (j,) for s in sizes for j in range(1, min(k, d - sum(s) - later) + 1)]
+    return sorted(sizes, key=prod, reverse=True)

@@ -1,6 +1,11 @@
-"""End-to-end command line behavior, driven in-process."""
+"""End-to-end command line behavior, driven in-process, and in a child
+process where the process itself is under test."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +283,43 @@ def test_rational_instance_with_lattice_valuation_exits_one(instance, capsys):
         "polytopes": {"P": [["1/2", 0], [0, "1/2"], [0, 0]]},
     }
     assert main(["cm", "--input", instance(doc)]) == 1
+
+
+# runs the CLI with one more verify suite that always fails
+_FAILING_VERIFY = (
+    "import sys, mixedval.verify as v; from mixedval.cli import main; "
+    "v.SUITES['forced-failure'] = (lambda rng, dims, budget: (1, 'forced counterexample'), 1); "
+    "sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["cm", "--json", "--input", THREE], 1),
+        (["cm", "--input", THREE], 1),
+        (["dissect", "--mode", "cayley", "--json", "--input", TRI_SEG], 1),
+        (["verify", "forced-failure", "--trials", "4"], 2),
+    ],
+)
+def test_a_closed_stdout_keeps_the_exit_code_without_a_traceback(instance, argv, code):
+    # the reader of the pipe is gone before the report is written, as
+    # when `mixedval cm --json | head -c 100` has read its fill; a report
+    # that was not written is exit 1 unless a check failed, which stays 2
+    argv = [instance(a) if isinstance(a, dict) else a for a in argv]
+    program = ["-c", _FAILING_VERIFY] if argv[0] == "verify" else ["-m", "mixedval.cli"]
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(mixedval.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, *program, *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert proc.stderr == b""

@@ -29,6 +29,7 @@ from mixedval import (
 from mixedval.linalg import rank, vec
 
 from .conftest import hull
+from .positivity_reference import edge_segments
 from .strategies import polytope_families
 
 F = Fraction
@@ -68,13 +69,16 @@ def test_segment_endpoints_are_lattice_points(x, u):
 
 
 def test_candidate_segments_of_standard_bodies(unit_square, unit_triangle):
-    tri_segs = candidate_segments([unit_triangle])
+    tri_segs = edge_segments([unit_triangle])
     assert len(tri_segs) == 3
     assert {s.direction for s in tri_segs} == {(0, 1), (1, 0), (1, -1)}
-    sq_segs = candidate_segments([unit_square])
+    sq_segs = edge_segments([unit_square])
     assert len(sq_segs) == 4
     assert {s.direction for s in sq_segs} == {(0, 1), (1, 0)}
-    assert candidate_segments([point_polytope((1, 2))]) == []
+    # the ground set keeps the first edges that span each polytope
+    assert candidate_segments([unit_triangle]) == tri_segs[:2]
+    assert candidate_segments([unit_square]) == sq_segs[:2]
+    assert candidate_segments([point_polytope((1, 2))]) == edge_segments([point_polytope((1, 2))]) == []
 
 
 def test_candidate_segments_need_lattice_polytopes(unit_square):

@@ -107,11 +107,12 @@ def test_positive_rescaling_calls_no_hull(monkeypatch):
     calls = []
     real = geometry._hull
     monkeypatch.setattr(geometry, "_hull", lambda *a: calls.append(a) or real(*a))
+    sums = geometry._cached_sum.cache_info().misses
     for n in product(range(1, 4), repeat=3):
         scaled_sum(polys, n).facets
-    assert calls == []
+    assert calls == [] and geometry._cached_sum.cache_info().misses == sums
     scaled_sum(polys, (2, 0, 1)).facets  # a zero factor sums fewer summands
-    assert calls
+    assert geometry._cached_sum.cache_info().misses > sums
 
 
 @pytest.mark.parametrize("polys, n", [([EMPTY, None], (1, 0)), ([EMPTY, None], (1, 1)), ([EMPTY], (0,))])
