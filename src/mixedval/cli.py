@@ -12,7 +12,9 @@ in lowest terms, and wall-clock timing goes to stderr only.
 
 Exit codes: 0 success, 1 bad input or usage or a stdout closed before the
 report was written, 2 a checked property failed (also when stdout was
-closed).
+closed).  Under ``--json`` a failed certificate of a built dissection
+still writes the report, whose ``results.failure`` carries the message,
+the dilation and the expected and actual totals.
 """
 
 from __future__ import annotations
@@ -402,85 +404,100 @@ def _cmd_dissect(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], i
     }
     lines: list[str] = []
 
-    if args.mode == "boxcell":
-        if args.dim is None or args.dilate is None:
-            raise CliError("boxcell mode needs --dim and --dilate")
-        if args.dim < 1 or args.dilate < 1:
-            raise CliError("boxcell mode needs positive --dim and --dilate")
-        D = boxcell_dissection(args.dim, args.dilate, seed=seed)
-        census = boxcell_census(D)
-        results["census"] = {str(k): v for k, v in sorted(census.items())}
-        results["certificates"] = _dissection_certificates(D, [])
-        lines.append(
-            f"boxcell: {len(D.cells)} cells of the {args.dilate}-fold simplex"
-            f" in dimension {args.dim}"
-        )
-        lines.append(
-            "census by cylinder rank: "
-            + ", ".join(f"{k}: {v}" for k, v in sorted(census.items()))
-        )
-    else:
-        inst = _load(args)
-        report["digest"] = instance_digest(inst)
-        polys = inst.family()
-        names = list(inst.polytopes)
-
-        if args.mode == "staircase":
-            if len(polys) != 2:
-                raise CliError("staircase mode needs exactly two simplices")
-            D = open_dissection(staircase_dissection(polys[0], polys[1]), seed=seed)
-            volumes = [exact_volume(cell.cell) for cell in D.cells]
+    D: Dissection | None = None
+    code = 0
+    try:
+        if args.mode == "boxcell":
+            if args.dim is None or args.dilate is None:
+                raise CliError("boxcell mode needs --dim and --dilate")
+            if args.dim < 1 or args.dilate < 1:
+                raise CliError("boxcell mode needs positive --dim and --dilate")
+            D = boxcell_dissection(args.dim, args.dilate, seed=seed)
+            census = boxcell_census(D)
+            results["census"] = {str(k): v for k, v in sorted(census.items())}
             results["certificates"] = _dissection_certificates(D, [])
-            results["certificates"]["volume_total"] = sum(volumes, Fraction(0))
-            whole = exact_volume(D.target)
-            if results["certificates"]["volume_total"] != whole:
-                raise CheckFailure("staircase cells do not fill the target volume")
             lines.append(
-                f"staircase: {len(D.cells)} cells, volume total"
-                f" {format_rational(whole)}"
+                f"boxcell: {len(D.cells)} cells of the {args.dilate}-fold simplex"
+                f" in dimension {args.dim}"
             )
-        elif args.mode == "cayley":
-            D = fine_mixed_dissection(polys, opener_seed=seed)
-            r = len(polys)
-            samples = list(dict.fromkeys([(1,) * r, (2,) + (1,) * (r - 1), (2,) * r]))
-            results["certificates"] = _dissection_certificates(D, samples)
-            ranks = sorted(cell.cylinder_rank for cell in D.cells)
-            results["cell_ranks"] = ranks
             lines.append(
-                f"fine mixed dissection of {'+'.join(names)}:"
-                f" {len(D.cells)} cells, ranks {ranks}"
+                "census by cylinder rank: "
+                + ", ".join(f"{k}: {v}" for k, v in sorted(census.items()))
             )
-        else:  # difference
-            if not inst.pairs:
-                raise CliError("difference mode needs a 'pairs' field in the instance")
-            inner = [inst.polytopes[a] for a, _ in inst.pairs]
-            outer = [inst.polytopes[b] for _, b in inst.pairs]
-            paired = {name for pair in inst.pairs for name in pair}
-            shared = [inst.polytopes[n] for n in names if n not in paired]
-            inner += shared
-            outer += shared
-            cert = mixed_difference_certificate(inner, outer, opener_seed=seed)
-            r = len(inner)
-            ones = (1,) * r
-            counts = difference_counts(cert, ones)
-            samples = list(dict.fromkeys([ones, (2,) + (1,) * (r - 1), (2,) * r]))
-            certify_difference(cert, samples)
-            D = cert.dissection
-            results["difference_cell_count"] = len(cert.difference_cells)
-            results["difference_counts"] = list(counts)
-            results["difference_total"] = sum(counts)
-            results["dilation_checks"] = [list(n) for n in samples]
-            lines.append(
-                f"difference certificate: {len(cert.difference_cells)} cells,"
-                f" total {sum(counts)} at dilation {ones}"
-            )
+        else:
+            inst = _load(args)
+            report["digest"] = instance_digest(inst)
+            polys = inst.family()
+            names = list(inst.polytopes)
 
-        lines.append(f"certified with seed {seed}")
+            if args.mode == "staircase":
+                if len(polys) != 2:
+                    raise CliError("staircase mode needs exactly two simplices")
+                D = open_dissection(staircase_dissection(polys[0], polys[1]), seed=seed)
+                volumes = [exact_volume(cell.cell) for cell in D.cells]
+                results["certificates"] = _dissection_certificates(D, [])
+                results["certificates"]["volume_total"] = sum(volumes, Fraction(0))
+                whole = exact_volume(D.target)
+                if results["certificates"]["volume_total"] != whole:
+                    raise CheckFailure("staircase cells do not fill the target volume")
+                lines.append(
+                    f"staircase: {len(D.cells)} cells, volume total"
+                    f" {format_rational(whole)}"
+                )
+            elif args.mode == "cayley":
+                D = fine_mixed_dissection(polys, opener_seed=seed)
+                r = len(polys)
+                samples = list(dict.fromkeys([(1,) * r, (2,) + (1,) * (r - 1), (2,) * r]))
+                results["certificates"] = _dissection_certificates(D, samples)
+                ranks = sorted(cell.cylinder_rank for cell in D.cells)
+                results["cell_ranks"] = ranks
+                lines.append(
+                    f"fine mixed dissection of {'+'.join(names)}:"
+                    f" {len(D.cells)} cells, ranks {ranks}"
+                )
+            else:  # difference
+                if not inst.pairs:
+                    raise CliError("difference mode needs a 'pairs' field in the instance")
+                inner = [inst.polytopes[a] for a, _ in inst.pairs]
+                outer = [inst.polytopes[b] for _, b in inst.pairs]
+                paired = {name for pair in inst.pairs for name in pair}
+                shared = [inst.polytopes[n] for n in names if n not in paired]
+                inner += shared
+                outer += shared
+                cert = mixed_difference_certificate(inner, outer, opener_seed=seed)
+                r = len(inner)
+                ones = (1,) * r
+                counts = difference_counts(cert, ones)
+                samples = list(dict.fromkeys([ones, (2,) + (1,) * (r - 1), (2,) * r]))
+                D = cert.dissection
+                certify_difference(cert, samples)
+                results["difference_cell_count"] = len(cert.difference_cells)
+                results["difference_counts"] = list(counts)
+                results["difference_total"] = sum(counts)
+                results["dilation_checks"] = [list(n) for n in samples]
+                lines.append(
+                    f"difference certificate: {len(cert.difference_cells)} cells,"
+                    f" total {sum(counts)} at dilation {ones}"
+                )
+
+            lines.append(f"certified with seed {seed}")
+    except CertificateError as exc:
+        # under --json a failed certificate of a built dissection still
+        # writes the report, with the failure's fields, and exits 2
+        if not args.json or D is None:
+            raise
+        results["failure"] = {
+            "message": str(exc),
+            "dilation": None if exc.dilation is None else list(exc.dilation),
+            "expected": exc.expected,
+            "actual": exc.actual,
+        }
+        code = 2
 
     report["results"] = results
     report["dissection"] = dissection_to_json(D)
     lines.append(f"cells: {len(D.cells)}")
-    return report, lines, 0
+    return report, lines, code
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], int]:

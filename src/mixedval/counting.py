@@ -7,8 +7,10 @@ last coordinate's feasible interval is solved from the constraints.  A
 count adds up the fiber lengths, an enumeration expands each fiber.
 One support table, _Support, builds every constraint system the scanner
 takes: a half-open polytope's own, from its facet offsets, and those of
-the rescaled dissection cells and certificate targets, from int support
-numbers of their summands.  count_half_open caches its counts.
+the rescaled certificate targets, from int support numbers of their
+summands.  Dissection cells no longer take this route: they count in
+closed form (dissections._CellCounts), so every certificate compares two
+independent counts.  count_half_open caches its counts.
 Everything is exact integer arithmetic; boxes stay small at desk scale
 (<= 10^6 points).
 
@@ -75,8 +77,6 @@ class _Support:
     summand's support function is linear on each normal cone of T, and T's
     facet and equality rows with right-hand sides sum nj hj / D, cut by the
     n-combined box, are exactly n1 S1 + ... + nr Sr even when some nj = 0.
-    A removed facet whose summand has nj = 0 pairs to a constant on that
-    sum, so its strict row alone makes the count 0.
     """
 
     def __init__(

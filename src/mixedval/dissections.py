@@ -3,19 +3,27 @@
 A dissection covers a polytope by full-dimensional cells meeting only in
 boundaries.  Making each cell half-open (dropping the facets visible
 from a fixed generic point) turns the cover into an exact partition of
-lattice points, which is what every certificate here counts.  Cells are
-remembered as Minkowski sums, and a cell rescaled summand-wise by n is
-counted without building it, from the support table of counting._Support
-(once per cell and once per certificate target).
+lattice points, which is what every certificate here counts.
+
+Every cell is an exact Minkowski sum of simplices, so an affine image of
+their product, and is built from its simplices with no hull: one integer
+inverse of the edge matrix gives the vertices, the facets, labelled by
+(summand, vertex), and their tight sets (_SimplexProduct).  A cell
+rescaled summand-wise by n counts in closed form, a sum of products of
+binomials over the lattice points of its fundamental parallelepiped,
+which Hermite normal forms enumerate (_CellCounts); no rescaled cell is
+built or scanned.  A certificate target counts from the support table of
+counting._Support, so every certificate compares two independent routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -27,6 +35,7 @@ from .geometry import (
     InexactSum,
     NotGeneric,
     Polytope,
+    _assembled,
     _common_ambient,
     _dilation_vector,
     _lattice_tag,
@@ -39,7 +48,7 @@ from .geometry import (
     placing_cells,
     translate,
 )
-from .linalg import dot, is_zero, vadd, vec
+from .linalg import adjugate, dot, hermite, is_zero, reduced_echelon, vadd, vec
 from .samplers import random_relint_point
 
 # -- half-open operators ------------------------------------------------------
@@ -94,68 +103,256 @@ def half_open_by_direction(P: Polytope, u: Sequence) -> HalfOpenPolytope:
 # -- mixed cells and dissections ------------------------------------------------
 
 
-def _face_index(P: Polytope, a: tuple[int, ...]) -> int:
-    """Index of the facet of P whose vertex set maximizes <a, .>; the
-    maximizing face must actually be a facet."""
-    _, pts = _scaled(P.vertices)
-    vals = [sum(map(mul, a, v)) for v in pts]
-    mx = max(vals)
-    tight = frozenset(t for t, v in enumerate(vals) if v == mx)
-    idx = P.facet_by_tight_set.get(tight)
-    if idx is None:
-        raise CertificateError("maximizing face is not a facet")
-    return idx
+class _SimplexProduct:
+    """An exact sum of simplices S1 + ... + Sr as the affine image of their
+    product (the Cayley trick: Huber, Rambau & Santos, JEMS 2, 2000), built
+    from one integer inverse and no hull.
+
+    The vertices are scaled by their common denominator D, and the edges
+    vj,v - vj,0 (v >= 1) of each Sj by the least Dj that makes them
+    integral; E is the k x k matrix of those edges in the pivot columns of
+    their span.  A point of n1 S1 + ... + nr Sr is o(n) + mu E, o(n) the
+    sum of the nj vj,0 and mu in the product of the simplices {mu_j >= 0,
+    sum mu_j <= nj / Dj}.  The edges are independent exactly when the
+    summands are simplices whose dimensions add up: that rank test is the
+    exactness check.  Faces of a product are products of faces (Ziegler,
+    Lectures on Polytopes, section 0.1), so the vertices are the sums over
+    the index tuples, and the facets are the pairs (j, v) with kj = dim Sj
+    >= 1, mu_j,v >= 0 for v >= 1 and sum mu_j at its top for v = 0, each
+    tight on the tuples whose j-th index is not v.  In chart coordinates
+    y, mu = y adj(E) / det E, so every normal is a column of the adjugate
+    or the sum of block j's columns.  `blocks` holds (j, kj, the position
+    of Sj's first edge, Dj) for kj >= 1, and `labels` the (j, v) of each
+    facet of `cell`, in its facet order.
+    """
+
+    def __init__(self, summands: Sequence[Polytope]):
+        D, ints = _scaled([v for S in summands for v in S.vertices])
+        blocks, at = [], 0
+        for S in summands:
+            blocks.append(ints[at : at + len(S.vertices)])
+            at += len(S.vertices)
+        # each summand's edges over the least Dj that makes them integral
+        edges, self.blocks = [], []
+        for j, b in enumerate(blocks):
+            rows = [[x - y for x, y in zip(p, b[0])] for p in b[1:]]
+            if rows:
+                g = gcd(D, *(x for row in rows for x in row))
+                self.blocks.append((j, len(rows), len(edges), D // g))
+                edges += [[x // g for x in row] for row in rows]
+        ech = reduced_echelon(edges)
+        if len(ech) < len(edges):
+            raise InexactSum("summands are not simplices whose dimensions add up")
+        self.basis, self.pivots = tuple(tuple(r) for _, r in ech), tuple(c for c, _ in ech)
+        self.edges = [[e[c] for c in self.pivots] for e in edges]
+        self.det, self.adj = adjugate(self.edges)
+        self.D, self.origins = D, [b[0] for b in blocks]
+
+        tuples = list(itertools.product(*(range(len(b)) for b in blocks)))
+        sums = [tuple(map(sum, zip(*(b[i] for b, i in zip(blocks, t))))) for t in tuples]
+        order = sorted(range(len(sums)), key=sums.__getitem__)
+        position = [0] * len(order)
+        for n, t in enumerate(order):
+            position[t] = n
+        s = 1 if self.det > 0 else -1
+        columns = list(zip(*self.adj))
+        facets, labels = [], {}
+        for j, k, at, _ in self.blocks:
+            cols = columns[at : at + k]
+            normals = [tuple(s * sum(x) for x in zip(*cols))] + [tuple(-s * x for x in c) for c in cols]
+            for v, alpha in enumerate(normals):
+                tight = frozenset(position[n] for n, t in enumerate(tuples) if t[j] != v)
+                facets.append((alpha, tight))
+                labels[tight] = (j, v)
+        self.cell = _assembled(D, [sums[t] for t in order], (self.basis, self.pivots), facets)
+        self.labels = tuple(labels[t] for t in self.cell.facet_tight_sets)
+
+    @cached_property
+    def group(self) -> tuple[list[int], int, list[list[int]], list[list[int]]]:
+        """(free, L, solver, reps): the lattice points of the sum's affine
+        hull and a set of representatives of the finite group G, the image
+        of aff(cell) & Z^d under E^-1 taken mod Z^k, |G| of them, from
+        Hermite normal forms and no box scan.
+
+        A point of the affine hull through o(c), with pivot coordinates y
+        and o = D o(c), has integral free coordinates f exactly when
+        y A = b(o) mod DL, with A_if = D r_if L / r_ip for the chart rows
+        r, pivots p and L the lcm of the pivot entries.  The HNF of the
+        rows (A_i | e_i) and (DL e_f | 0) splits in two: the `solver`
+        rows, pivoting on the free columns, find a solution y0 whenever
+        one exists, and the rest, B, is a basis of the homogeneous
+        solutions, which contain the edge rows: E = U B.  So G is
+        Z^k / Z^k U, represented by the z of the box under the HNF
+        diagonal of U; `reps` holds their mu = z B adj(E) / det E as
+        numerators over Q = D |det E|, reduced mod Q.
+        """
+        basis, pivots, D, adj = self.basis, self.pivots, self.D, self.adj
+        k = len(pivots)
+        free = [f for f in range(self.cell.ambient_dim) if f not in pivots]
+        L = lcm(*(r[p] for r, p in zip(basis, pivots)))
+        m = len(free)
+        rows = [
+            [D * r[f] * (L // r[p]) for f in free] + [int(i == j) for j in range(k)]
+            for i, (r, p) in enumerate(zip(basis, pivots))
+        ]
+        rows += [[D * L * (f == g) for g in range(m)] + [0] * k for f in range(m)]
+        H = hermite(rows)
+        solver = [h for h in H if any(h[:m])]
+        B = [h[m:] for h in H if not any(h[:m])]
+        # U: the edges in the basis B, upper triangular with pivots on the diagonal
+        U = []
+        for e in self.edges:
+            e, z = list(e), []
+            for i, b in enumerate(B):
+                z.append(e[i] // b[i])
+                e = [x - z[-1] * y for x, y in zip(e, b)]
+            U.append(z)
+        diagonal = [h[i] for i, h in enumerate(hermite(U))]
+        Q, s = D * abs(self.det), 1 if self.det > 0 else -1
+        BA = [[s * D * sum(x * y for x, y in zip(b, col)) for col in zip(*adj)] for b in B]
+        reps = [
+            [sum(x * row[i] for x, row in zip(z, BA)) % Q for i in range(k)]
+            for z in itertools.product(*(range(h) for h in diagonal))
+        ]
+        return free, L, solver, reps
+
+
+class _CellCounts:
+    """Half-open lattice counts of a cell n1 S1 + ... + nr Sr for every
+    n >= 0, in closed form (Koeppe & Verdoolaege, Electron. J. Combin. 15,
+    2008; Beck & Robins, Computing the Continuous Discretely, ch. 3).
+
+    The lattice points of the rescaled cell are o(n) + mu E with mu = rho +
+    m: rho runs over the representatives in [0, 1)^k of G shifted by a
+    lattice point of the affine hull, and m over the integer points of the
+    product of the simplices {m_j >= l_j, sum m_j <= N_j}, the strict rows
+    made integral: l_j,v is 1 where (j, v) is removed and rho_j,v = 0, and
+    N_j is the floor of nj / Dj - sum rho_j, or one less than its ceiling
+    when (j, 0) is removed.  So the count is the sum over rho of the
+    product over j of binom(N_j - sum l_j + kj, kj).  The shift depends on
+    n only through c = n mod D, since o(n) - o(c) is integral, and N_j =
+    (D / Dj) (nj // D) + e_j with e_j read at c: one table per class c
+    maps the tuples (e_j) to their multiplicities.  A summand with nj = 0
+    leaves m_j = 0 alone, and a strict row on it makes its factor 0.
+    """
+
+    def __init__(self, P: _SimplexProduct, removed: frozenset[int]):
+        self.product = P
+        self.removed = frozenset(P.labels[i] for i in removed)
+        self._tables: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+
+    def count(self, n: Sequence[int]) -> int:
+        """The count at a checked dilation vector n."""
+        P = self.product
+        c = tuple(x % P.D for x in n)
+        table = self._tables.get(c)
+        if table is None:
+            table = self._tables[c] = self._table(c)
+        total = 0
+        for key, term in table.items():
+            for (j, k, _, Dj), e in zip(P.blocks, key):
+                t = P.D // Dj * (n[j] // P.D) + e
+                if t < 0:
+                    break
+                term *= comb(t + k, k)
+            else:
+                total += term
+        return total
+
+    def _table(self, c: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """The tuples (e_j) over the representatives at the class c, with
+        their multiplicities; empty when aff(c1 S1 + ... + cr Sr) holds no
+        lattice point."""
+        P, removed = self.product, self.removed
+        free, L, solver, reps = P.group
+        o = [sum(map(mul, c, col)) for col in zip(*P.origins)]
+        rhs = [sum(o[p] * r[f] * (L // r[p]) for r, p in zip(P.basis, P.pivots)) - L * o[f] for f in free]
+        y = [0] * len(P.pivots)
+        for h in solver:
+            i = next(i for i, x in enumerate(h) if x)
+            q, rest = divmod(rhs[i], h[i])
+            if rest:
+                return {}
+            rhs = [x - q * z for x, z in zip(rhs, h)]
+            y = [x + q * z for x, z in zip(y, h[len(free) :])]
+        Q, s = P.D * abs(P.det), 1 if P.det > 0 else -1
+        start = [P.D * x - o[p] for x, p in zip(y, P.pivots)]
+        shift = [s * sum(map(mul, start, col)) for col in zip(*P.adj)]
+        table: dict[tuple[int, ...], int] = {}
+        for rep in reps:
+            rho = [(x + t) % Q for x, t in zip(rep, shift)]
+            key = []
+            for j, k, at, Dj in P.blocks:
+                part = rho[at : at + k]
+                num = c[j] * (Q // Dj) - sum(part)
+                e = -(-num // Q) - 1 if (j, 0) in removed else num // Q
+                key.append(e - sum(1 for v, x in enumerate(part, 1) if not x and (j, v) in removed))
+            key = tuple(key)
+            table[key] = table.get(key, 0) + 1
+        return table
 
 
 @dataclass(frozen=True)
 class MixedCell:
-    """A dissection cell remembered as a Minkowski sum.
+    """A dissection cell remembered as an exact Minkowski sum of simplices.
 
     `cell` is the sum of `summands`; `removed` indexes into cell.facets
-    and records the half-open state.  The sum is exact: the cell
-    dimension equals the total of the summand dimensions, which makes
-    every facet attributable to exactly one summand.
+    and records the half-open state.  The summands are simplices whose
+    dimensions add up to the cell's, so the cell is an affine image of
+    their product: each facet is a pair (j, v), the side of summand j
+    opposite its vertex v (_SimplexProduct), and the cell counts rescaled
+    summand-wise in closed form (_CellCounts).  The package builds cells
+    with _simplex_cell, which hulls nothing and passes the `product` in; a
+    cell constructed without one works it out of its summands when first
+    counted, and checks it against `cell`.
     """
 
     summands: tuple[Polytope, ...]
     cell: Polytope
     removed: frozenset[int] = frozenset()
+    product: _SimplexProduct | None = field(default=None, compare=False, repr=False)
 
     @property
     def cylinder_rank(self) -> int:
         """How many summands have positive dimension."""
         return sum(1 for R in self.summands if R.dim > 0)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.cell.dim == sum(R.dim for R in self.summands)
+    @cached_property
+    def _product(self) -> _SimplexProduct:
+        if self.product is not None:
+            return self.product
+        P = _SimplexProduct(self.summands)
+        if P.cell.vertices != self.cell.vertices:
+            raise InexactSum("cell is not the sum of its summands")
+        return P
 
     @cached_property
-    def _rescaling(self) -> _Support:
-        return _Support(self.summands, self.cell, self.removed)
+    def _rescaling(self) -> _CellCounts:
+        return _CellCounts(self._product, self.removed)
 
     def half_open(self) -> HalfOpenPolytope:
         return HalfOpenPolytope(self.cell, self.removed)
 
     def count(self) -> int:
-        return count_half_open(self.half_open())
+        return self._rescaling.count((1,) * len(self.summands))
 
     def with_removed(self, removed: frozenset[int]) -> "MixedCell":
-        return MixedCell(self.summands, self.cell, removed)
+        return MixedCell(self.summands, self.cell, removed, self.product)
 
     def summand_half_open(self, j: int) -> HalfOpenPolytope:
-        """Summand j carrying the removed facets attributed to it: a facet
-        of the cell belongs to the one summand whose face in its direction
-        is proper, the one on which its normal is not constant."""
-        idx = set()
-        for i in self.removed:
-            a = self.cell.facets[i].normal
-            moving = [k for k, R in enumerate(self.summands) if len({dot(a, v) for v in R.vertices}) > 1]
-            if len(moving) != 1:
-                raise InexactSum(f"facet attribution {'is ambiguous' if moving else 'failed'}")
-            if moving[0] == j:
-                idx.add(_face_index(self.summands[j], a))
-        return HalfOpenPolytope(self.summands[j], frozenset(idx))
+        """Summand j carrying the removed facets labelled (j, v): each is the
+        facet of Sj that misses its vertex v."""
+        S = self.summands[j]
+        every = frozenset(range(len(S.vertices)))
+        labels = [self._product.labels[i] for i in self.removed]
+        return HalfOpenPolytope(S, frozenset(S.facet_by_tight_set[every - {v}] for i, v in labels if i == j))
+
+
+def _simplex_cell(summands: Sequence[Polytope]) -> MixedCell:
+    """The closed cell S1 + ... + Sr of simplices, with no hull; InexactSum
+    when the summands are not simplices whose dimensions add up."""
+    P = _SimplexProduct(summands)
+    return MixedCell(tuple(summands), P.cell, product=P)
 
 
 @dataclass(frozen=True)
@@ -261,7 +458,7 @@ def dilated_cell_counts(D: Dissection, n: Sequence[int]) -> list[int]:
 
     Needs a factored, opened dissection.  The counts add up to the
     lattice-point count of n1 P1 + ... + nr Pr.  No rescaled cell is
-    built: each cell counts from its int support numbers.
+    built: each cell counts in closed form (_CellCounts).
     """
     if D.factors is None:
         raise ValueError("dissection does not track factors")
@@ -318,13 +515,13 @@ def boxcell_dissection(d: int, n: int, *, seed: int = 0) -> Dissection:
                 start = i
         summands = []
         for s, e in blocks:
-            verts = [
-                tuple(1 if s <= i < e and i >= e - t else 0 for i in range(d))
+            verts = sorted(
+                vec(1 if s <= i < e and i >= e - t else 0 for i in range(d))
                 for t in range(e - s + 1)
-            ]
-            summands.append(convex_hull(verts))
+            )
+            summands.append(Polytope(d, tuple(verts), "Z"))
         summands[0] = translate(summands[0], base)
-        cells.append(MixedCell(tuple(summands), minkowski_sum_all(summands)))
+        cells.append(_simplex_cell(summands))
     return open_dissection(Dissection(target, tuple(cells)), seed=seed)
 
 
@@ -346,10 +543,8 @@ def staircase_dissection(S1: Polytope, S2: Polytope) -> Dissection:
     for S in (S1, S2):
         if len(S.vertices) != S.dim + 1:
             raise GeometryError("staircases are built from simplices")
-    total = minkowski_sum_all((S1, S2))
+    total = _SimplexProduct((S1, S2)).cell
     p, q = S1.dim, S2.dim
-    if total.dim != p + q:
-        raise InexactSum("summands do not add dimensions")
     u, v = S1.vertices, S2.vertices
     cells = []
     for rights in itertools.combinations(range(p + q), p):
@@ -364,9 +559,7 @@ def staircase_dissection(S1: Polytope, S2: Polytope) -> Dissection:
             path.append(vadd(u[i], v[j]))
         verts = tuple(sorted(path))
         simplex = Polytope(total.ambient_dim, verts, _lattice_tag(verts, None))
-        if simplex.dim != p + q:
-            raise InexactSum("degenerate staircase cell")
-        cells.append(MixedCell((simplex,), simplex))
+        cells.append(_simplex_cell((simplex,)))
     return Dissection(total, tuple(cells))
 
 
@@ -391,7 +584,7 @@ def staircase_refine(
             + cell.summands[i + 1 : j]
             + cell.summands[j + 1 :]
         )
-        pieces.append(MixedCell(summands, minkowski_sum_all(summands)))
+        pieces.append(_simplex_cell(summands))
     refined = open_dissection(Dissection(cell.cell, tuple(pieces)), q)
     return refined.cells
 
@@ -435,7 +628,7 @@ def placing_triangulation(P: Polytope) -> Dissection:
     for c in placing_cells(P.vertices):
         verts = tuple(sorted(P.vertices[t] for t in c))
         simplex = Polytope(P.ambient_dim, verts, _lattice_tag(verts, None))
-        cells.append(MixedCell((simplex,), simplex))
+        cells.append(_simplex_cell((simplex,)))
     return Dissection(P, tuple(cells))
 
 
@@ -446,7 +639,8 @@ def _pull_back(
     point_cell: Sequence[tuple], d: int, r: int
 ) -> MixedCell:
     """Cayley-trick pull-back: group a simplex's vertices by height
-    label, sum the per-label hulls of their base parts."""
+    label; the base parts of each group span a simplex, and the cell is
+    their sum."""
     groups: dict[int, list] = {i: [] for i in range(r)}
     for p in point_cell:
         i = next(t for t in range(r) if p[d + t] == 1)
@@ -457,10 +651,7 @@ def _pull_back(
         if not g:
             raise CertificateError("a maximal cell misses a factor")
         summands.append(Polytope(d, g, _lattice_tag(g, None)))
-    mc = MixedCell(tuple(summands), minkowski_sum_all(summands))
-    if not mc.is_exact:
-        raise InexactSum("pulled-back cell is not an exact sum")
-    return mc
+    return _simplex_cell(summands)
 
 
 def _cayley_cells(

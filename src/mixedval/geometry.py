@@ -205,27 +205,11 @@ class Polytope:
 
     @cached_property
     def _lift(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(M, L): L times the matrix that lifts chart normals to lin(aff P).
-
-        Chart coordinates (pivot entries) are coefficients in B = S^-1 C,
-        for C the int basis rows of the chart and S the diagonal of their
-        pivot entries.  The lift of alpha is the a in lin(aff P) with
-        <a, b_i> = alpha_i for every row b_i of B, that is
-        B^T (B B^T)^-1 alpha; M is the identity when P is full-dimensional.
-        B^T (B B^T)^-1 = C^T G^-1 S with G = C C^T, and one elimination of
-        [G | I] reduces its rows to (p_i e_i | p_i (G^-1)_i).
-        """
+        """(M, L): L times the matrix that lifts chart normals to lin(aff P),
+        shared by every polytope with the same span (_span_lift)."""
         _, C, pivots = self._chart
-        k, d = len(C), self.ambient_dim
-        if k == d:
-            return _identity_lift(d)
-        eye = [[int(i == j) for j in range(k)] for i in range(k)]
-        inv = reduced_echelon([sum(map(mul, a, b)) for b in C] + e for a, e in zip(C, eye))
-        L = lcm(*(r[c] for c, r in inv))
-        W = [[x * (L // r[c]) * C[j][pivots[j]] for j, x in enumerate(r[k:])] for c, r in inv]
-        m = [[sum(c[col] * w[j] for c, w in zip(C, W)) for j in range(k)] for col in range(d)]
-        g = gcd(L, *(x for row in m for x in row))
-        return tuple(tuple(x // g for x in row) for row in m), L // g
+        d = self.ambient_dim
+        return _identity_lift(d) if len(C) == d else _span_lift(C, pivots, d)
 
     def _assemble_facets(
         self,
@@ -344,6 +328,32 @@ class Polytope:
 def _identity_lift(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The lift of a full-dimensional polytope, one shared object per d."""
     return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1
+
+
+@lru_cache(maxsize=1 << 12)
+def _span_lift(
+    C: tuple[tuple[int, ...], ...], pivots: tuple[int, ...], d: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(M, L) for the chart basis C of a lower-dimensional span and its
+    pivots in Q^d.
+
+    Chart coordinates (pivot entries) are coefficients in B = S^-1 C,
+    for C the int basis rows of the chart and S the diagonal of their
+    pivot entries.  The lift of alpha is the a in lin(aff P) with
+    <a, b_i> = alpha_i for every row b_i of B, that is
+    B^T (B B^T)^-1 alpha.  B^T (B B^T)^-1 = C^T G^-1 S with G = C C^T, and
+    one elimination of [G | I] reduces its rows to (p_i e_i | p_i
+    (G^-1)_i).  The cells of one dissection share their span, so they
+    share this elimination.
+    """
+    k = len(C)
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    inv = reduced_echelon([sum(map(mul, a, b)) for b in C] + e for a, e in zip(C, eye))
+    L = lcm(*(r[c] for c, r in inv))
+    W = [[x * (L // r[c]) * C[j][pivots[j]] for j, x in enumerate(r[k:])] for c, r in inv]
+    m = [[sum(c[col] * w[j] for c, w in zip(C, W)) for j in range(k)] for col in range(d)]
+    g = gcd(L, *(x for row in m for x in row))
+    return tuple(tuple(x // g for x in row) for row in m), L // g
 
 
 def _prepopulate(

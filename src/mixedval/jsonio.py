@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .dissections import Dissection, MixedCell
-from .geometry import Polytope, contains, convex_hull, minkowski_sum_all
+from .dissections import Dissection, _simplex_cell
+from .geometry import InexactSum, Polytope, contains, convex_hull
 
 __all__ = [
     "InstanceError",
@@ -230,7 +230,7 @@ def dissection_from_json(doc: Any) -> Dissection:
             vertex_rows, summand_rows = entry["vertices"], entry["summands"]
         except KeyError as exc:
             raise InstanceError(f"cell lacks {exc}") from exc
-        cell_poly = convex_hull(points_from_json(vertex_rows, dim))
+        vertices = tuple(sorted(set(points_from_json(vertex_rows, dim))))
         summands = tuple(
             convex_hull(points_from_json(rows, dim))
             for rows in _json_list(summand_rows, "'summands'")
@@ -239,15 +239,18 @@ def dissection_from_json(doc: Any) -> Dissection:
             raise InstanceError("a cell needs at least one summand")
         if factors is not None and len(summands) != len(factors):
             raise InstanceError("a cell needs one summand per factor")
-        if minkowski_sum_all(summands).vertices != cell_poly.vertices:
+        if any(len(S.vertices) != S.dim + 1 for S in summands):
+            raise InstanceError("cell summands must be simplices")
+        try:
+            cell = _simplex_cell(summands)
+        except InexactSum as exc:
+            raise InstanceError("cell is not an exact sum of its summands") from exc
+        if cell.cell.vertices != vertices:
             raise InstanceError("cell summands do not add up to its vertices")
         removed = _json_list(entry.get("removed", []), "'removed'")
-        nfacets = len(cell_poly.facets)
+        nfacets = len(cell.cell.facets)
         for i in removed:
             if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < nfacets:
                 raise InstanceError(f"removed facet index {i!r} out of range")
-        cell = MixedCell(summands, cell_poly, frozenset(removed))
-        if not cell.is_exact:
-            raise InstanceError("cell is not an exact sum of its summands")
-        cells.append(cell)
+        cells.append(cell.with_removed(frozenset(removed)))
     return Dissection(target, tuple(cells), opener=opener, factors=factors)

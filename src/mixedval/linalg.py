@@ -174,6 +174,61 @@ def _bareiss(work: list[list[int]]) -> int:
     return sign * work[-1][-1] if n else 1
 
 
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) of a square int matrix M, adj M M = det M I, by one
+    fraction-free Gauss-Jordan elimination of [M | I] (Bareiss): every
+    division is exact, and the last pivot is det M up to the sign of the
+    row swaps.  A singular M gives det 0 and no adjugate is formed."""
+    n = len(rows)
+    work = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if work[i][c]), None)
+        if pr is None:
+            return 0, []
+        if pr != c:
+            work[c], work[pr] = work[pr], work[c]
+            sign = -sign
+        top = work[c]
+        p = top[c]
+        for i, row in enumerate(work):
+            if i != c:
+                f = row[c]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    # the elimination leaves [prev I | X] with X M = prev I
+    return sign * prev, [[sign * x for x in row[n:]] for row in work]
+
+
+def hermite(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The row Hermite normal form of the lattice the int rows generate:
+    a basis in echelon form with positive pivots, every entry above a
+    pivot reduced into [0, pivot).  Rows that vanish up to column c lie
+    in the span of the basis rows whose pivots come after c."""
+    work = [list(r) for r in rows]
+    out: list[list[int]] = []
+    for c in range(len(work[0]) if work else 0):
+        live = [r for r in work if r[c]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not p:
+                    q = r[c] // p[c]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+            live = [r for r in live if r[c]]
+        if not live:
+            continue
+        p = live[0]
+        work = [r for r in work if r is not p]
+        if p[c] < 0:
+            p[:] = [-x for x in p]
+        for r in out:
+            q = r[c] // p[c]
+            r[:] = [x - q * y for x, y in zip(r, p)]
+        out.append(p)
+    return out
+
+
 def cofactor_normal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The integer c with <c, x> = det(rows + [x]) for all x: k-1 rows of
     length k give a c that is nonzero exactly when they are independent."""

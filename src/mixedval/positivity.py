@@ -20,7 +20,7 @@ products of simplex dimensions, searched one size vector at a time.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -244,7 +244,15 @@ def cylinder_lower_bound(polys: Sequence[Polytope]) -> int:
     size vector and the bound is 0.  Simplices with one span are
     interchangeable here, so Pi offers one per span of its ki-simplices,
     generated as the search asks for them and kept on Pi
-    (Polytope._simplex_spans).
+    (Polytope._simplex_spans).  Once an attempt fails, a size vector that
+    asks some subset of the polytopes for more than the rank of their
+    joint linear span is skipped, the current one included, so a tuple
+    whose best vectors fail for rank reasons does not read all its spans.
+    By Rado's theorem a vector passes when a matroid intersection of the
+    polytopes' chart rows with the partition matroid allowing ki rows of
+    Pi fills it, so no subset is listed, and the intersection runs only
+    for a vector that asks some subset for more than its largest
+    member's dimension, which the rank is at least.
     """
     polys = [_require_polytope(P) for P in polys]
     r = len(polys)
@@ -255,17 +263,52 @@ def cylinder_lower_bound(polys: Sequence[Polytope]) -> int:
         if not P.is_integral:
             raise LatticeMismatch("the lower bound is about lattice polytopes")
 
-    def choose(i: int, sizes: tuple[int, ...], echelon: list[tuple[int, list[int]]]) -> bool:
+    dims = [P.dim for P in polys]
+    failed = False
+    # the linear matroid on the chart rows of every Pi, built when needed,
+    # and the owner of each row
+    spans: MatroidOracle | None = None
+    owners = [i for i, k in enumerate(dims) for _ in range(k)]
+
+    def fits(sizes: tuple[int, ...]) -> bool:
+        """Rado's condition: sizes[i] independent chart rows can be picked
+        from each Pi, so no subset of them asks for more than the rank of
+        their joint span.  The most a subset with largest dimension t
+        asks for is the sum of ki over dim Pi <= t, so most vectors pass
+        without an intersection."""
+        nonlocal spans
+        if not failed or all(sum(k for k, e in zip(sizes, dims) if e <= t) <= t for t in dims):
+            return True
+        if spans is None:
+            spans = direction_matroid([row for P in polys for row in P._chart[1]])
+        quota = MatroidOracle(
+            len(owners),
+            lambda s: all(c <= sizes[i] for i, c in Counter(owners[e] for e in s).items()),
+        )
+        return matroid_intersection(spans, quota, sum(sizes)) is not None
+
+    def choose(i: int, sizes: tuple[int, ...], echelon: list[tuple[int, list[int]]]) -> bool | None:
+        """True on a choice, False when there is none, None when a joint
+        rank rules the size vector out."""
+        nonlocal failed
         if i == r:
             return True
         for basis in polys[i]._simplex_spans(sizes[i]):
             branch = list(echelon)
-            if all(extend_echelon(branch, row) for row in basis) and choose(i + 1, sizes, branch):
-                return True
+            if all(extend_echelon(branch, row) for row in basis):
+                found = choose(i + 1, sizes, branch)
+                if found is not False:
+                    return found
+            if not failed:
+                failed = True
+                if not fits(sizes):
+                    return None
         return False
 
-    sizes = _size_vectors([P.dim for P in polys], d)
-    return next((prod(s) for s in sizes if choose(0, s, [])), 0)
+    for sizes in _size_vectors(dims, d):
+        if fits(sizes) and choose(0, sizes, []):
+            return prod(sizes)
+    return 0
 
 
 def _size_vectors(dims: Sequence[int], d: int) -> list[tuple[int, ...]]:

@@ -29,6 +29,7 @@ from .counting import (
 )
 from .dissections import (
     MixedCell,
+    _simplex_cell,
     boxcell_census,
     boxcell_dissection,
     certify_dissection,
@@ -197,10 +198,9 @@ def _exact_simplex_tuple(
 def _opened_cell(
     rng: random.Random, simplices: list[Polytope]
 ) -> tuple[MixedCell, tuple[Fraction, ...]]:
-    cell = minkowski_sum_all(simplices)
-    mc = MixedCell(tuple(simplices), cell)
-    q = generic_opener(cell, [mc], seed=rng.randrange(1 << 16))
-    return mc.with_removed(half_open_by_point(cell, q).removed), q
+    mc = _simplex_cell(simplices)
+    q = generic_opener(mc.cell, [mc], seed=rng.randrange(1 << 16))
+    return mc.with_removed(half_open_by_point(mc.cell, q).removed), q
 
 
 # -- exact geometry suites -----------------------------------------------------

@@ -1,7 +1,9 @@
-"""The Cayley-trick cell builder against reference routes that hull the
-points and place them on the hull's chart: fine mixed dissections,
-difference certificates and placing triangulations come out cell for
-cell as on those routes, and neither Cayley builder hulls its points."""
+"""The cell builders against reference routes that hull: fine mixed
+dissections and difference certificates come out cell for cell as when
+the Cayley points are hulled and placed on the hull's chart and every
+cell is the hull of its summands' sum, and placing triangulations as on
+the charted route.  Neither Cayley builder hulls its points, no builder
+hulls a cell, and a wrong adjugate column is caught."""
 
 import random
 from collections import Counter
@@ -10,20 +12,28 @@ import pytest
 
 from mixedval import (
     DimensionMismatch,
+    GeometryError,
     Polytope,
+    boxcell_dissection,
     cayley_polytope,
+    certify_difference,
+    certify_dilations,
+    certify_dissection,
     convex_hull,
+    count_half_open,
+    dilate,
     fine_mixed_dissection,
     minkowski_sum_all,
     mixed_difference_certificate,
+    order_simplex,
     placing_triangulation,
+    staircase_dissection,
 )
-from mixedval import dissections
+from mixedval import counting, dissections, geometry
 from mixedval.dissections import (
     Dissection,
     MixedCell,
     _cayley_points,
-    _pull_back,
     generic_opener,
     open_dissection,
 )
@@ -50,12 +60,20 @@ def _charted_triangulation(P):
     return Dissection(P, tuple(cells))
 
 
+def _hull_pull_back(point_cell, d, r):
+    """The mixed cell of a Cayley simplex, hulled: the sum of the groups of
+    its base parts by height label, through the sum cache."""
+    groups = [sorted(p[:d] for p in point_cell if p[d + i] == 1) for i in range(r)]
+    summands = tuple(Polytope(d, tuple(g), _lattice_tag(g, None)) for g in groups)
+    return MixedCell(summands, minkowski_sum_all(summands))
+
+
 def _hull_route_dissection(polys, seed):
     """fine_mixed_dissection through the Cayley polytope's hull and its
-    charted placing triangulation."""
+    charted placing triangulation, every cell hulled."""
     d, r = polys[0].ambient_dim, len(polys)
     tri = _charted_triangulation(cayley_polytope(polys))
-    cells = tuple(_pull_back(c.cell.vertices, d, r) for c in tri.cells)
+    cells = tuple(_hull_pull_back(c.cell.vertices, d, r) for c in tri.cells)
     return open_dissection(Dissection(minkowski_sum_all(polys), cells, factors=tuple(polys)), seed=seed)
 
 
@@ -67,7 +85,7 @@ def _hull_route_certificate(inner, outer, seed):
     inner_pts = _cayley_points(inner)
     pts = list(dict.fromkeys(inner_pts + _cayley_points(outer)))
     index_cells = _charted_cells(pts, convex_hull(pts)._chart)
-    cells = tuple(_pull_back([pts[t] for t in c], d, r) for c in index_cells)
+    cells = tuple(_hull_pull_back([pts[t] for t in c], d, r) for c in index_cells)
     target_in, target_out = minkowski_sum_all(inner), minkowski_sum_all(outer)
     q = generic_opener(target_out, cells, seed=seed, from_polytope=target_in)
     D = open_dissection(Dissection(target_out, cells, factors=tuple(outer)), q)
@@ -170,3 +188,78 @@ def test_the_cayley_builders_hull_no_cayley_points(monkeypatch):
         assert mixed_difference_certificate(inner, outer).dissection.cells
     with pytest.raises(AssertionError, match="hull route"):
         dissections.cayley_polytope(outer)
+
+
+def test_building_a_dissection_hulls_only_its_target(monkeypatch):
+    hulls, tables = [], []
+    real_hull, real_table = geometry._hull, counting._Support.__init__
+    monkeypatch.setattr(geometry, "_hull", lambda points, k: hulls.append(len(points)) or real_hull(points, k))
+    monkeypatch.setattr(
+        counting._Support, "__init__", lambda self, S, T, removed=frozenset(): tables.append(T) or real_table(self, S, T, removed)
+    )
+
+    def hulled(build):
+        """What build returns, and the hulls it runs from a cold sum cache."""
+        geometry._cached_sum.cache_clear()
+        hulls.clear()
+        return build(), list(hulls)
+
+    rng = random.Random(5454)
+    built = []
+    for _, d, kinds, polys in _families(40, 5454):
+        D, calls = hulled(lambda: fine_mixed_dissection(polys, opener_seed=3))
+        assert calls == hulled(lambda: minkowski_sum_all(polys))[1], polys
+        inner = [_nested(rng, P) for P in polys]
+        if minkowski_sum_all(inner).dim == D.target.dim:
+            cert, calls = hulled(lambda: mixed_difference_certificate(inner, polys))
+            assert calls == hulled(lambda: [minkowski_sum_all(inner), minkowski_sum_all(polys)])[1]
+            built.append((cert.dissection, cert))
+        built.append((D, None))
+    for d, n in ((1, 3), (2, 3), (3, 2), (4, 2)):
+        D, calls = hulled(lambda: boxcell_dissection(d, n))
+        assert calls == hulled(lambda: dilate(order_simplex(d), n))[1] == [d + 1]
+        built.append((D, None))
+    for p, q in ((1, 1), (2, 1), (2, 2), (3, 1)):
+        S = convex_hull([(0,) * 4, *((0,) * i + (1,) + (0,) * (3 - i) for i in range(p))])
+        T = convex_hull([(0,) * 4, *((0,) * i + (2,) + (0,) * (3 - i) for i in range(p, p + q))])
+        D, calls = hulled(lambda: open_dissection(staircase_dissection(S, T)))
+        assert calls == []  # the target is a sum of simplices too
+        built.append((D, None))
+
+    assert not tables
+    for D, _ in built:
+        D.cell_counts()
+    assert not tables  # no cell counts from a support table
+    for D, cert in built:
+        targets = [D.target]
+        certify_dissection(D)
+        if D.factors is not None:
+            certify_dilations(D, [(2,) * len(D.factors)])
+        if cert is not None:
+            certify_difference(cert, [(2,) * len(D.factors)])
+            targets.append(cert.inner_dissection.target)
+        assert all(T in targets for T in tables)
+        tables.clear()
+
+
+def test_a_wrong_adjugate_column_is_caught(monkeypatch):
+    real = dissections.adjugate
+
+    def wrong(rows):
+        # the first column of the adjugate picks up the last one
+        det, adj = real(rows)
+        return det, [[row[0] + row[-1], *row[1:]] for row in adj]
+
+    monkeypatch.setattr(dissections, "adjugate", wrong)
+    caught = 0
+    for rng, d, kinds, polys in _families(60, 5151):
+        seed = rng.randrange(100)
+        reference = _hull_route_dissection(polys, seed)
+        try:
+            D = fine_mixed_dissection(polys, opener_seed=seed)
+        except GeometryError:
+            caught += 1
+            continue
+        counts = [count_half_open(c.half_open()) for c in reference.cells]
+        caught += D != reference or D.cell_counts() != counts
+    assert caught >= 20, caught

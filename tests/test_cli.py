@@ -216,6 +216,27 @@ def test_dissect_difference(instance, capsys):
     assert report["results"]["difference_cell_count"] >= 1
 
 
+@pytest.mark.parametrize("mode, doc", [("cayley", TRI_SEG), ("difference", NESTED)])
+def test_a_failed_dilation_certificate_writes_its_fields_under_json(instance, capsys, monkeypatch, mode, doc):
+    from mixedval import dissections
+
+    real = dissections._CellCounts.count
+    # beyond the unit dilation every half-open cell counts one point too many
+    monkeypatch.setattr(dissections._CellCounts, "count", lambda self, n: real(self, n) + (max(n) > 1 and bool(self.removed)))
+    path = instance(doc)
+    code, report = run_json(capsys, ["dissect", "--mode", mode, "--input", path])
+    assert code == 2
+    failure = report["results"]["failure"]
+    assert failure["dilation"] == [2, 1]
+    assert failure["actual"] > failure["expected"] >= 1
+    counted = "scaled cells count" if mode == "cayley" else "difference cells count"
+    assert failure["message"].startswith(f"{counted} {failure['actual']} at (2, 1)")
+    assert report["dissection"]["cells"]
+    assert main(["dissect", "--mode", mode, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mixedval: check failed: ")
+
+
 def test_dissect_difference_needs_pairs(instance, capsys):
     assert main(["dissect", "--mode", "difference", "--input", instance(TRI_SEG)]) == 1
     assert "pairs" in capsys.readouterr().err

@@ -174,7 +174,7 @@ def test_fine_mixed_of_orthogonal_segments(e1_segment, e2_segment):
     assert len(D.cells) == 1
     cell = D.cells[0]
     assert cell.cylinder_rank == 2
-    assert cell.is_exact
+    assert cell.cell.dim == sum(S.dim for S in cell.summands)
     assert D.cell_counts() == [4]
     assert dilated_cell_counts(D, (2, 3)) == [12]
     assert certify_dissection(D) == 4

@@ -175,3 +175,14 @@ def test_dissection_document_rejects_malformed_fields(mutate):
     mutate(doc)
     with pytest.raises(InstanceError):
         dissection_from_json(doc)
+
+
+def test_a_cell_with_a_square_summand_is_rejected():
+    # the square is the cell's whole sum, but cells are sums of simplices
+    doc = dissection_to_json(boxcell_dissection(2, 1))
+    square = [[0, 0], [0, 1], [1, 0], [1, 1]]
+    doc["cells"] = [{"vertices": square, "summands": [square], "removed": []}]
+    with pytest.raises(InstanceError, match="^cell summands must be simplices$"):
+        dissection_from_json(doc)
+    doc["cells"][0]["summands"] = [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]
+    assert len(dissection_from_json(doc).cells[0].cell.facets) == 4

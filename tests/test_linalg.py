@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from mixedval.linalg import (
     SMALL,
     ZERO,
+    adjugate,
     det,
+    hermite,
     dot,
     frac,
     is_zero,
@@ -205,3 +207,50 @@ def test_floats_are_rejected_on_the_integer_paths():
         primitive([0.5, 1])
     with pytest.raises(TypeError):
         rank([(1, 0), (0.5, 1)])
+
+
+def test_adjugate_inverts_against_the_fraction_solve():
+    rng = random.Random(31)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(0, 5)
+        M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            M[-1] = [x - 2 * y for x, y in zip(M[0], M[1])]
+        value, adj = adjugate(M)
+        assert value == det(M)
+        if value == 0:
+            singular += 1
+            continue
+        for j in range(n):
+            # column j of adj / det solves M x = e_j
+            e = [int(i == j) for i in range(n)]
+            assert ref.solve(M, e) == tuple(Fraction(row[j], value) for row in adj)
+    assert singular >= 40
+
+
+def _in_lattice(v, basis):
+    for h in basis:
+        c = next(i for i, x in enumerate(h) if x)
+        q, r = divmod(v[c], h[c])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, h)]
+    return not any(v)
+
+
+def test_hermite_is_the_echelon_basis_of_the_row_lattice():
+    rng = random.Random(32)
+    for _ in range(400):
+        width = rng.randint(1, 5)
+        rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(width)] for _ in range(rng.randint(0, 6))]
+        H = hermite(rows)
+        pivots = [next(c for c, x in enumerate(h) if x) for h in H]
+        assert pivots == sorted(set(pivots))
+        assert len(H) == (rank(rows) if rows else 0)
+        for i, (h, c) in enumerate(zip(H, pivots)):
+            assert h[c] > 0 and all(0 <= g[c] < h[c] for g in H[:i])
+        # the same lattice: every row is in the span of H, and H is in the
+        # lattice of the rows (adding an H row changes no HNF)
+        assert all(_in_lattice(r, H) for r in rows)
+        assert all(hermite(rows + [h]) == H for h in H)

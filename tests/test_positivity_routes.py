@@ -124,3 +124,27 @@ def test_a_27_and_32_vertex_pair_gets_its_bound_in_under_a_second():
     # 2 * 2 is the largest product of sizes that sum to at most 4, so the
     # exhaustive search, which takes minutes here, finds it too
     assert bound == 4
+
+
+def test_sizes_beyond_the_joint_rank_are_skipped():
+    # two 3-polytopes on the moment curves (t, t^2, +-t^3, 0): their sum
+    # spans only 3 dimensions, so (2, 2), (3, 1) and (1, 3) ask for rank 4
+    P = convex_hull([(t, t * t, t**3, 0) for t in range(20)])
+    Q = convex_hull([(t, t * t, -(t**3), 0) for t in range(20)])
+    assert (len(P.vertices), len(Q.vertices), P.dim, Q.dim) == (20, 20, 3, 3)
+    started = time.monotonic()
+    assert cylinder_lower_bound([P, Q]) == 2
+    assert time.monotonic() - started < 1.0
+
+
+def test_many_segments_in_a_hyperplane_are_pruned_in_polynomial_time():
+    # 20 segments in Q^20 whose directions (1, t, ..., t^18, 0) lie in general
+    # position in x20 = 0: every 19 of them are independent, so only the full
+    # set asks for more than its rank, and a prune that tried each of the
+    # 2^20 subsets would take minutes
+    d = 20
+    segments = [convex_hull([(0,) * d, tuple(t**i for i in range(d - 1)) + (0,)]) for t in range(1, d + 1)]
+    started = time.monotonic()
+    assert cylinder_lower_bound(segments) == 0
+    assert cylinder_lower_bound(segments[1:]) == 1
+    assert time.monotonic() - started < 1.0

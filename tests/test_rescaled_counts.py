@@ -5,7 +5,8 @@ fields of a failed dilation or difference certificate."""
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from operator import mul
 
 import pytest
 
@@ -100,10 +101,31 @@ def _families(count, seed):
         yield rng, d, kinds, [_factor(rng, d, k) for k in kinds]
 
 
+def _flat_families(count, seed):
+    """Seeded families in one affine flat of dimension < d, with rational
+    generators and origin: cells whose affine hull meets the lattice in a
+    coarse lattice, or at some dilations not at all."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(2, 4)
+        e = rng.randint(1, d - 1)
+        gens = [[F(rng.randint(-2, 2), rng.choice([1, 1, 2])) for _ in range(d)] for _ in range(e)]
+        o = [F(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(d)]
+        polys = []
+        for _ in range(rng.randint(1, min(3, e + 1))):
+            points = [[rng.randint(-1, 2) for _ in range(e)] for _ in range(rng.randint(1, e + 2))]
+            polys.append(convex_hull([tuple(o[j] + sum(map(mul, c, (g[j] for g in gens))) for j in range(d)) for c in points]))
+        yield rng, d, ["flat"] * len(polys), polys
+
+
 def test_cell_and_target_counts_match_the_rescaled_polytopes():
     seen = Counter()
-    for rng, d, kinds, polys in _families(110, 4141):
+    for rng, d, kinds, polys in chain(_families(110, 4141), _flat_families(60, 4343)):
         D = fine_mixed_dissection(polys, opener_seed=rng.randrange(100))
+        for c in D.cells:
+            seen["|G| > 1"] += len(c._product.group[3]) > 1
+            seen["lower cells"] += c.cell.dim < d
+            seen["rational cells"] += c._product.D > 1
         for n in _vectors(rng, len(polys)):
             expect = [_reference_count(c, n) for c in D.cells]
             assert dilated_cell_counts(D, n) == expect, (polys, n)
@@ -118,6 +140,47 @@ def test_cell_and_target_counts_match_the_rescaled_polytopes():
     assert seen["case"] >= 1000 and seen["zero"] >= 300 and seen["removed"] >= 300, seen
     assert all(seen[(d, r)] for d in range(1, 5) for r in range(1, 4 if d < 4 else 3)), seen
     assert min(seen["lattice"], seen["rational"], seen["lower"]) >= 30, seen
+    assert seen["|G| > 1"] >= 200 and seen["lower cells"] >= 100 and seen["rational cells"] >= 100, seen
+
+
+def _mismatches(families):
+    """The (cell, n) cases where the closed form and the reference route
+    disagree, over the dilation vectors of each family."""
+    bad = 0
+    for rng, d, kinds, polys in families:
+        D = fine_mixed_dissection(polys, opener_seed=rng.randrange(100))
+        for n in _vectors(rng, len(polys)):
+            bad += sum(x != _reference_count(c, n) for x, c in zip(dilated_cell_counts(D, n), D.cells))
+    return bad
+
+
+def _fault_corpus():
+    return chain(_families(30, 4141), _flat_families(20, 4343))
+
+
+def test_a_removed_first_vertex_side_counted_closed_is_caught(monkeypatch):
+    real = dissections._CellCounts.__init__
+
+    def closed_first_side(self, P, removed):
+        real(self, P, removed)
+        self.removed = frozenset((j, v) for j, v in self.removed if v)
+
+    monkeypatch.setattr(dissections._CellCounts, "__init__", closed_first_side)
+    assert _mismatches(_fault_corpus()) >= 20
+
+
+def test_a_shift_taken_at_n_not_n_mod_D_is_caught(monkeypatch):
+    count, table = dissections._CellCounts.count, dissections._CellCounts._table
+
+    def at_n(self, n):
+        # rational cells read their table at n for the class of n mod D
+        D = self.product.D
+        if D > 1:
+            self._tables[tuple(x % D for x in n)] = table(self, tuple(n))
+        return count(self, n)
+
+    monkeypatch.setattr(dissections._CellCounts, "count", at_n)
+    assert _mismatches(_fault_corpus()) >= 20
 
 
 def _nested(rng, P):
@@ -208,9 +271,9 @@ def test_a_failed_certificate_carries_its_dilation_and_counts(monkeypatch):
     D = _two_cell_dissection()
     square = hull((0, 0), (1, 0), (1, 1), (0, 1))
     cert = mixed_difference_certificate([hull((0, 0), (1, 0), (0, 1))], [square])
-    real = dissections._Support.count
-    # every half-open cell counts one point too many; the closed targets stay right
-    monkeypatch.setattr(dissections._Support, "count", lambda self, n: real(self, n) + bool(self.removed))
+    real = dissections._CellCounts.count
+    # every half-open cell counts one point too many; the targets stay right
+    monkeypatch.setattr(dissections._CellCounts, "count", lambda self, n: real(self, n) + bool(self.removed))
     with pytest.raises(CertificateError) as err:
         certify_dilations(D, [(1, 1), (2, 1)])
     expect = count_lattice_points(scaled_sum(D.factors, (1, 1)))
