@@ -11,8 +11,17 @@ the rescaled certificate targets, from int support numbers of their
 summands.  Dissection cells no longer take this route: they count in
 closed form (dissections._CellCounts), so every certificate compares two
 independent counts.  count_half_open caches its counts.
-Everything is exact integer arithmetic; boxes stay small at desk scale
-(<= 10^6 points).
+Everything is exact integer arithmetic.  A scan costs one interval solve
+per fiber (a point of the box with the last coordinate dropped): the
+10^6 fibers of a 1000 x 1000 x 4 box take 1.9 s (Intel Xeon, 2 vCPUs,
+Python 3.11.7).  The scanner takes at most MAX_SCAN = 10^7 fibers, and
+the closed-form cell counts of dissections at most 10^7 parallelepiped
+points per cell; a larger one is refused with ScanTooLarge before
+anything is scanned or laid out, so a box of 10^9 fibers fails at once
+instead of exhausting memory.  The limit is set above the largest
+instance known to finish: the h* vector of the 5-simplex
+conv(0, e1, ..., e4, (3, 5, 7, 11, 562)) scans 1.7 * 10^6 fibers at its
+sixth dilate and takes 8 s.
 
 A half-open polytope is a base polytope with a subset of facets removed,
 i.e. those inequalities become strict.  The relative interior is the
@@ -25,10 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .geometry import (
+    GeometryError,
     Polytope,
     _require_polytope,
     _scaled,
@@ -39,6 +50,17 @@ from .geometry import (
 # for x the last coordinate and prefix the others
 Constraint = tuple[tuple[int, ...], int, int]
 Box = list[tuple[int, int]]
+
+MAX_SCAN = 10**7
+
+
+class ScanTooLarge(GeometryError):
+    """A lattice-point enumeration of more than MAX_SCAN fibers or points."""
+
+
+def _refuse_scan(size: int, what: str) -> None:
+    if size > MAX_SCAN:
+        raise ScanTooLarge(f"a lattice-point enumeration over {size} {what} exceeds the limit of {MAX_SCAN}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +158,9 @@ class _Support:
 def _fibers(cons: Sequence[Constraint], box: Box) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Nonempty fibers (prefix, lo, hi) of the lattice points of the box
     that satisfy cons, lexicographic order: those points are prefix + (x,)
-    for lo <= x <= hi."""
+    for lo <= x <= hi.  Refuses a box of more than MAX_SCAN fibers before
+    product() lays out its ranges."""
+    _refuse_scan(prod(hi - lo + 1 for lo, hi in box[:-1]), "fibers")
     prefix_ranges = [range(lo, hi + 1) for lo, hi in box[:-1]]
     last_lo, last_hi = box[-1]
     for prefix in product(*prefix_ranges):

@@ -23,11 +23,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .counting import HalfOpenPolytope, _Support, count_half_open
+from .counting import HalfOpenPolytope, _refuse_scan, _Support, count_half_open
 from .geometry import (
     CertificateError,
     DimensionMismatch,
@@ -184,7 +184,8 @@ class _SimplexProduct:
         solutions, which contain the edge rows: E = U B.  So G is
         Z^k / Z^k U, represented by the z of the box under the HNF
         diagonal of U; `reps` holds their mu = z B adj(E) / det E as
-        numerators over Q = D |det E|, reduced mod Q.
+        numerators over Q = D |det E|, reduced mod Q.  More than
+        counting.MAX_SCAN of them are refused before any is listed.
         """
         basis, pivots, D, adj = self.basis, self.pivots, self.D, self.adj
         k = len(pivots)
@@ -208,6 +209,7 @@ class _SimplexProduct:
                 e = [x - z[-1] * y for x, y in zip(e, b)]
             U.append(z)
         diagonal = [h[i] for i, h in enumerate(hermite(U))]
+        _refuse_scan(prod(diagonal), "parallelepiped points")
         Q, s = D * abs(self.det), 1 if self.det > 0 else -1
         BA = [[s * D * sum(x * y for x, y in zip(b, col)) for col in zip(*adj)] for b in B]
         reps = [

@@ -72,7 +72,8 @@ class Segment:
 def candidate_segments(polys: Sequence[Polytope]) -> list[Segment]:
     """Edges of each polytope whose directions span its linear space, dim P
     of them, tagged with the owner index: the first edge and each later
-    one whose direction leaves the span of those kept.
+    one whose direction leaves the span of those kept, picked once per
+    polytope (Polytope.spanning_edges).
 
     A point polytope has no edges and contributes nothing, which makes
     every positivity query involving it fail, as it should.
@@ -82,12 +83,7 @@ def candidate_segments(polys: Sequence[Polytope]) -> list[Segment]:
         P = _require_polytope(P)
         if not P.is_integral:
             raise LatticeMismatch("candidate segments need integer vertices")
-        echelon: list[tuple[int, list[int]]] = []
-        for a, b, u in P.integer_edges:
-            if len(echelon) == P.dim:
-                break
-            if extend_echelon(echelon, u):
-                out.append(Segment(i, (a, b), u))
+        out += (Segment(i, (a, b), u) for a, b, u in P.spanning_edges)
     return out
 
 

@@ -2,9 +2,9 @@
 
 from itertools import combinations
 
-from mixedval import minkowski_sum_all, origin_polytope
+from mixedval import convex_hull, minkowski_sum, minkowski_sum_all, origin_polytope
 from mixedval.geometry import dilate
-from mixedval.linalg import dot, primitive, vec, vsub
+from mixedval.linalg import dot, primitive, vadd, vec, vsub
 
 from .fraction_linalg import nullspace, rank
 
@@ -51,3 +51,20 @@ def sum_of_dilates(polys, n):
     """n1 P1 + ... + nr Pr by dilating every summand and hulling their sum."""
     parts = [dilate(P, k) for P, k in zip(polys, n) if k]
     return minkowski_sum_all(parts) if parts else origin_polytope(polys[0].ambient_dim)
+
+
+def sum_state(P):
+    """Everything a Minkowski sum carries: its vertices, lattice, facets,
+    tight sets, chart, lift and equalities."""
+    return P, P.lattice, P.dim, P.facets, P.facet_tight_sets, P._chart, P._lift, P.aff_equalities
+
+
+def vertex_sums(P, Q):
+    return {vadd(p, q) for p in P.vertices for q in Q.vertices}
+
+
+def sum_mismatches(pairs):
+    """The pairs whose sum differs from the hull of its vertex sums."""
+    return [
+        (P, Q) for P, Q in pairs if sum_state(minkowski_sum(P, Q)) != sum_state(convex_hull(vertex_sums(P, Q)))
+    ]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,24 @@ def test_a_failed_dilation_certificate_writes_its_fields_under_json(instance, ca
 def test_dissect_difference_needs_pairs(instance, capsys):
     assert main(["dissect", "--mode", "difference", "--input", instance(TRI_SEG)]) == 1
     assert "pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["dissect", "--mode", "cayley"], ["cm"], ["ehrhart"]])
+def test_an_oversized_instance_exits_1_with_one_line(instance, capsys, command):
+    # the segment's box has 2 * 10^9 fibers, and some Cayley cell 10^9
+    # parallelepiped points
+    doc = {
+        "lattice": "Z",
+        "dim": 3,
+        "polytopes": {"T": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "S": [[0, 0, 0], [10**9, 1, 0]]},
+    }
+    started = time.perf_counter()
+    assert main([*command, "--input", instance(doc)]) == 1
+    assert time.perf_counter() - started < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mixedval: error: a lattice-point enumeration over ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_verify_single_suite(capsys):

@@ -1,5 +1,6 @@
 """Lattice-point enumeration for closed and half-open polytopes."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,20 @@ from hypothesis import given
 
 from mixedval import (
     HalfOpenPolytope,
+    builtin_valuations,
     count_half_open,
     count_lattice_points,
     count_relint_points,
     dilate,
     euler_relint_value,
+    h_star_vector,
     lattice_points,
     point_polytope,
     relint_points,
     translate,
 )
+from mixedval import counting
+from mixedval.counting import ScanTooLarge
 from mixedval.dissections import half_open_by_point
 from mixedval.linalg import dot
 
@@ -114,3 +119,30 @@ def test_relint_points_lie_inside(P):
     ]
     assert relint_points(P) == strict
     assert count_relint_points(P) == len(strict)
+
+
+def test_an_oversized_scan_is_refused_before_it_starts():
+    started = time.perf_counter()
+    with pytest.raises(ScanTooLarge, match="2000000002 fibers"):
+        count_lattice_points(hull((0, 0, 0), (10**9, 1, 0)))
+    assert time.perf_counter() - started < 1
+
+
+def test_the_scan_limit_keeps_the_largest_known_instance():
+    # the sixth dilate of this 5-simplex scans 1 696 909 fibers
+    simplex = hull(
+        (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+        (3, 5, 7, 11, 562),
+    )
+    dvol = builtin_valuations()["dvol"]
+    assert h_star_vector(dvol, simplex).entries == (1, 0, 108, 345, 108, 0)
+
+
+def test_the_scan_limit_counts_fibers(monkeypatch):
+    # the 3 x 2 rectangle scans its three columns
+    rectangle = hull((0, 0), (2, 0), (0, 1), (2, 1))
+    monkeypatch.setattr(counting, "MAX_SCAN", 3)
+    assert len(lattice_points(rectangle)) == 6
+    monkeypatch.setattr(counting, "MAX_SCAN", 2)
+    with pytest.raises(ScanTooLarge, match="3 fibers"):
+        lattice_points(rectangle)

@@ -8,26 +8,11 @@ from itertools import product
 
 from mixedval import Polytope, convex_hull, minkowski_sum, planar_translation_classes
 from mixedval import geometry
-from mixedval.linalg import rank, vadd
+from mixedval.linalg import rank
 
-from .hull_reference import brute_hull
+from .hull_reference import brute_hull, sum_mismatches, sum_state, vertex_sums
 
 F = Fraction
-
-
-def _state(P):
-    return P, P.lattice, P.dim, P.facets, P.facet_tight_sets, P._chart, P._lift, P.aff_equalities
-
-
-def _vertex_sums(P, Q):
-    return {vadd(p, q) for p in P.vertices for q in Q.vertices}
-
-
-def _mismatches(pairs):
-    """The pairs whose sum differs from the hull of its vertex sums."""
-    return [
-        (P, Q) for P, Q in pairs if _state(minkowski_sum(P, Q)) != _state(convex_hull(_vertex_sums(P, Q)))
-    ]
 
 
 def _census_pairs():
@@ -69,7 +54,7 @@ def test_census_sums_match_the_hull_of_the_vertex_sums():
     assert len(pairs) == 8778
     # all but the 29 sums of points and parallel segments, which are hulled
     assert sum(geometry._plane_span(P, Q) is not None for P, Q in pairs) == 8749
-    assert _mismatches(pairs) == []
+    assert sum_mismatches(pairs) == []
 
 
 def test_seeded_plane_sums_match_the_hull_of_the_vertex_sums():
@@ -78,16 +63,16 @@ def test_seeded_plane_sums_match_the_hull_of_the_vertex_sums():
     assert kinds == set(product((2, 3, 4), (0, 1, 2)))  # point, segment and polygon summands
     sums = [minkowski_sum(P, Q) for P, Q in pairs]
     assert sum(not S.is_integral for S in sums) >= 1000
-    assert _mismatches(pairs) == []
+    assert sum_mismatches(pairs) == []
     # a raw copy works out its chart, facets and lift on its own
-    assert all(_state(S) == _state(Polytope(S.ambient_dim, S.vertices, S.lattice)) for S in sums)
-    assert all(_state(minkowski_sum(Q, P)) == _state(S) for (P, Q), S in zip(pairs, sums))
+    assert all(sum_state(S) == sum_state(Polytope(S.ambient_dim, S.vertices, S.lattice)) for S in sums)
+    assert all(sum_state(minkowski_sum(Q, P)) == sum_state(S) for (P, Q), S in zip(pairs, sums))
 
 
 def test_seeded_plane_sums_match_the_brute_force_hull():
     checked = 0
     for P, Q in _plane_pairs(count=400, seed=77):
-        points = _vertex_sums(P, Q)
+        points = vertex_sums(P, Q)
         if len(points) > 12:
             continue
         S = minkowski_sum(P, Q)
@@ -115,5 +100,5 @@ def test_an_unmerged_slope_tie_is_caught(monkeypatch):
     # parallel edges taken one after the other leave a vertex inside an edge
     real = geometry._angle_order
     monkeypatch.setattr(geometry, "_angle_order", lambda u, v: real(u, v) or -1)
-    assert _mismatches(_census_pairs()[:300])
-    assert _mismatches(_plane_pairs(count=100))
+    assert sum_mismatches(_census_pairs()[:300])
+    assert sum_mismatches(_plane_pairs(count=100))

@@ -1,6 +1,7 @@
 """Segment criterion, matroid intersection, and the cylinder bound."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mixedval import (
     DimensionMismatch,
     LatticeMismatch,
     MatroidOracle,
+    Polytope,
     Segment,
     Valuation,
     builtin_valuations,
@@ -21,12 +23,15 @@ from mixedval import (
     direction_matroid,
     matroid_intersection,
     owner_matroid,
+    planar_translation_classes,
     point_polytope,
     positivity_witness,
     scale,
     shift_valuation,
 )
-from mixedval.linalg import rank, vec
+from mixedval import geometry, linalg, positivity
+from mixedval.linalg import extend_echelon, rank, vec
+from mixedval.samplers import random_lattice_polytope
 
 from .conftest import hull
 from .positivity_reference import edge_segments
@@ -84,6 +89,34 @@ def test_candidate_segments_of_standard_bodies(unit_square, unit_triangle):
 def test_candidate_segments_need_lattice_polytopes(unit_square):
     with pytest.raises(LatticeMismatch):
         candidate_segments([scale(unit_square, F(1, 2))])
+
+
+def _greedy_pick(P):
+    """The first edge and each later one whose direction leaves the span
+    of those kept, picked afresh."""
+    echelon, out = [], []
+    for a, b, u in P.integer_edges:
+        if len(echelon) == P.dim:
+            break
+        if extend_echelon(echelon, u):
+            out.append((a, b, u))
+    return tuple(out)
+
+
+def test_candidate_segments_keep_one_pick_per_polytope(monkeypatch):
+    rng = random.Random(8)
+    polys = planar_translation_classes(2)
+    polys += [random_lattice_polytope(rng, d, max_vertices=9, bound=2) for d in (3, 4) for _ in range(40)]
+    assert len(polys) == 212 and {P.dim for P in polys} >= {0, 1, 2, 3, 4}
+    for P in polys:
+        pick = _greedy_pick(Polytope(P.ambient_dim, P.vertices, P.lattice))
+        assert P.spanning_edges == pick and len(pick) == P.dim
+    expect = [Segment(i, (a, b), u) for i, P in enumerate(polys) for a, b, u in P.spanning_edges]
+    calls = []
+    real = linalg.extend_echelon
+    for module in (geometry, positivity):
+        monkeypatch.setattr(module, "extend_echelon", lambda rows, v: calls.append(v) or real(rows, v))
+    assert candidate_segments(polys) == expect and not calls
 
 
 def test_matroid_intersection_finds_orthogonal_pair():
