@@ -10,6 +10,13 @@ Report JSON (under ``--json``) is byte-stable for a fixed input file,
 seed, and package version: field order is fixed, rationals are rendered
 in lowest terms, and wall-clock timing goes to stderr only.
 
+Each process compiles and runs only what its command needs.  Importing
+this module loads geometry, linalg, counting, samplers, valuations and
+jsonio; a command imports the rest when it runs: ``positivity`` for
+``positivity`` and for ``cm`` under a valuation the segment criterion
+decides, ``dissections`` for ``dissect`` and ``verify`` (which loads
+everything) for ``verify``.  No module builds dataclasses at import.
+
 Exit codes: 0 success, 1 bad input or usage or a stdout closed before the
 report was written, 2 a checked property failed (also when stdout was
 closed).  Under ``--json`` a failed certificate of a built dissection
@@ -26,23 +33,11 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .dissections import (
-    CertificateError,
-    Dissection,
-    boxcell_census,
-    boxcell_dissection,
-    certify_difference,
-    certify_dilations,
-    certify_dissection,
-    difference_counts,
-    fine_mixed_dissection,
-    mixed_difference_certificate,
-    open_dissection,
-    staircase_dissection,
-)
+from . import __version__
 from .geometry import (
+    CertificateError,
     GeometryError,
     dilate,
     exact_volume,
@@ -57,13 +52,10 @@ from .jsonio import (
     load_instance,
     points_to_json,
 )
-from . import __version__
-from .positivity import (
-    cylinder_lower_bound,
-    positivity_witness,
-)
 from .valuations import builtin_valuations, cm, cm_terms, h_star_vector, mixed_polynomial
-from .verify import available_suites, run_suite, run_suites
+
+if TYPE_CHECKING:
+    from .dissections import Dissection
 
 # GeometryError covers its subclasses, NotGeneric among them;
 # load_instance wraps OSError and JSONDecodeError in InstanceError
@@ -213,6 +205,8 @@ def _cmd_cm(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], int]:
         lines.append(f"note: {results['note']}")
 
     if phi.segment_criterion:
+        from .positivity import positivity_witness
+
         witness = positivity_witness(polys)
         results["positive"] = witness is not None
         if witness is not None:
@@ -240,6 +234,11 @@ def _cmd_ehrhart(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], i
     polys = inst.family()
     names = list(inst.polytopes)
     r, d = len(polys), inst.dim
+    if args.dilate is not None:
+        if r != 1:
+            raise CliError("--dilate applies to single-polytope instances")
+        if args.dilate < 0:
+            raise CliError("--dilate must be nonnegative")
 
     poly = mixed_polynomial(phi, polys)
     coeff_rows = [
@@ -274,14 +273,10 @@ def _cmd_ehrhart(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], i
             "h-vector: (" + ", ".join(str(format_rational(h)) for h in hs.entries) + ")"
         )
         top = args.dilate if args.dilate is not None else polys[0].dim + 1
-        if top < 0:
-            raise CliError("--dilate must be nonnegative")
         dil_rows = [{"n": n, "value": phi(dilate(polys[0], n))} for n in range(top + 1)]
         results["dilations"] = dil_rows
         for row in dil_rows:
             lines.append(f"  n={row['n']}: {format_rational(row['value'])}")
-    elif args.dilate is not None:
-        raise CliError("--dilate applies to single-polytope instances")
 
     report = {
         "command": "ehrhart",
@@ -336,6 +331,8 @@ def _cmd_mixed_volume(args: argparse.Namespace) -> tuple[dict[str, Any], list[st
 
 
 def _cmd_positivity(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], int]:
+    from .positivity import cylinder_lower_bound, positivity_witness
+
     inst = _load(args)
     phi = _valuation(args.valuation)
     polys = inst.family()
@@ -382,6 +379,8 @@ def _cmd_positivity(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]
 
 
 def _dissection_certificates(D: Dissection, samples: list[tuple[int, ...]]) -> dict[str, Any]:
+    from .dissections import certify_dilations, certify_dissection
+
     total = certify_dissection(D)
     certs: dict[str, Any] = {
         "closed_total": total,
@@ -394,6 +393,17 @@ def _dissection_certificates(D: Dissection, samples: list[tuple[int, ...]]) -> d
 
 
 def _cmd_dissect(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], int]:
+    from .dissections import (
+        boxcell_census,
+        boxcell_dissection,
+        certify_difference,
+        difference_counts,
+        fine_mixed_dissection,
+        mixed_difference_certificate,
+        open_dissection,
+        staircase_dissection,
+    )
+
     seed = args.seed
     results: dict[str, Any] = {"mode": args.mode}
     report: dict[str, Any] = {
@@ -501,6 +511,8 @@ def _cmd_dissect(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], i
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[str], int]:
+    from .verify import available_suites, run_suite, run_suites
+
     if args.dim < 1:
         raise CliError("--dim must be positive")
     if args.trials < 1:

@@ -30,7 +30,6 @@ half-open polytope with every facet removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -41,6 +40,7 @@ from typing import Callable, Iterator, Sequence
 from .geometry import (
     GeometryError,
     Polytope,
+    _Frozen,
     _require_polytope,
     _scaled,
     face_lattice,
@@ -63,17 +63,25 @@ def _refuse_scan(size: int, what: str) -> None:
         raise ScanTooLarge(f"a lattice-point enumeration over {size} {what} exceeds the limit of {MAX_SCAN}")
 
 
-@dataclass(frozen=True)
-class HalfOpenPolytope:
+class HalfOpenPolytope(_Frozen):
     """base minus the union of the facets indexed by `removed`."""
 
-    base: Polytope
-    removed: frozenset[int]
+    __slots__ = _fields = ("base", "removed")
 
-    def __post_init__(self):
-        n = len(self.base.facets)
-        if any(type(i) is not int or i < 0 or i >= n for i in self.removed):
+    def __init__(self, base: Polytope, removed: frozenset[int]):
+        n = len(base.facets)
+        if any(type(i) is not int or i < 0 or i >= n for i in removed):
             raise ValueError("removed facet index out of range")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "removed", removed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.removed) == (other.base, other.removed)
+        return NotImplemented
+
+    def __hash__(self) -> int:  # the count cache hashes it
+        return hash((self.base, self.removed))
 
 
 def closed(P: Polytope) -> HalfOpenPolytope:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, prod
@@ -36,6 +35,7 @@ from .geometry import (
     NotGeneric,
     Polytope,
     _assembled,
+    _Frozen,
     _common_ambient,
     _dilation_vector,
     _lattice_tag,
@@ -294,8 +294,7 @@ class _CellCounts:
         return table
 
 
-@dataclass(frozen=True)
-class MixedCell:
+class MixedCell(_Frozen):
     """A dissection cell remembered as an exact Minkowski sum of simplices.
 
     `cell` is the sum of `summands`; `removed` indexes into cell.facets
@@ -306,13 +305,21 @@ class MixedCell:
     summand-wise in closed form (_CellCounts).  The package builds cells
     with _simplex_cell, which hulls nothing and passes the `product` in; a
     cell constructed without one works it out of its summands when first
-    counted, and checks it against `cell`.
+    counted, and checks it against `cell`.  The product is neither
+    compared, hashed nor shown.
     """
 
-    summands: tuple[Polytope, ...]
-    cell: Polytope
-    removed: frozenset[int] = frozenset()
-    product: _SimplexProduct | None = field(default=None, compare=False, repr=False)
+    _fields = ("summands", "cell", "removed")
+
+    def __init__(
+        self,
+        summands: tuple[Polytope, ...],
+        cell: Polytope,
+        removed: frozenset[int] = frozenset(),
+        product: _SimplexProduct | None = None,
+    ):
+        d = self.__dict__
+        d["summands"], d["cell"], d["removed"], d["product"] = summands, cell, removed, product
 
     @property
     def cylinder_rank(self) -> int:
@@ -357,8 +364,7 @@ def _simplex_cell(summands: Sequence[Polytope]) -> MixedCell:
     return MixedCell(tuple(summands), P.cell, product=P)
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(_Frozen):
     """Interior-disjoint cells covering a target polytope.
 
     `opener`, when set, is the generic point whose visibility fixed each
@@ -367,10 +373,16 @@ class Dissection:
     summand per factor, contained in it, and can be rescaled.
     """
 
-    target: Polytope
-    cells: tuple[MixedCell, ...]
-    opener: tuple[Fraction, ...] | None = None
-    factors: tuple[Polytope, ...] | None = None
+    _fields = ("target", "cells", "opener", "factors")
+
+    def __init__(
+        self,
+        target: Polytope,
+        cells: tuple[MixedCell, ...],
+        opener: tuple[Fraction, ...] | None = None,
+        factors: tuple[Polytope, ...] | None = None,
+    ):
+        self._set(target, cells, opener, factors)
 
     def cell_counts(self) -> list[int]:
         return [c.count() for c in self.cells]
@@ -689,16 +701,21 @@ def fine_mixed_dissection(
 # -- mixed differences ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DifferenceCertificate:
+class DifferenceCertificate(_Frozen):
     """A fine mixed dissection of the outer sum whose leading cells
     dissect the inner sum; the rest tile the difference half-openly."""
 
-    inner_factors: tuple[Polytope, ...]
-    outer_factors: tuple[Polytope, ...]
-    dissection: Dissection
-    inner_cells: tuple[int, ...]
-    difference_cells: tuple[int, ...]
+    _fields = ("inner_factors", "outer_factors", "dissection", "inner_cells", "difference_cells")
+
+    def __init__(
+        self,
+        inner_factors: tuple[Polytope, ...],
+        outer_factors: tuple[Polytope, ...],
+        dissection: Dissection,
+        inner_cells: tuple[int, ...],
+        difference_cells: tuple[int, ...],
+    ):
+        self._set(inner_factors, outer_factors, dissection, inner_cells, difference_cells)
 
     @cached_property
     def inner_dissection(self) -> Dissection:

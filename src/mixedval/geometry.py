@@ -58,9 +58,8 @@ self-checks that test the sum algebra call it directly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from itertools import combinations
 from math import factorial, gcd, lcm
 from operator import add, itemgetter, mul, sub
@@ -144,25 +143,102 @@ class _Empty:
 EMPTY = _Empty()
 
 
-@dataclass(frozen=True, order=True)
-class Facet:
-    """Inequality <normal, x> <= offset, outward primitive integer normal."""
+class _Frozen:
+    """Base of the package's immutable value classes.
 
-    normal: tuple[int, ...]
-    offset: Fraction
+    A subclass names its fields in `_fields`, in constructor order, and
+    its __init__ stores them with object.__setattr__ (or _set).  Equality
+    and hashing go over the field tuple, equality only between instances
+    of one class; repr shows every field; assigning or deleting an
+    attribute raises AttributeError.  Classes on the hot paths write
+    __eq__ and __hash__ over their own tuples; Polytope, which writes its
+    repr too, lists no _fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:
+        # pickle and copy restore the attributes here, past __setattr__;
+        # a class with __slots__ passes (None, slot values)
+        if isinstance(state, tuple):
+            state = state[1]
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class Polytope:
+@total_ordering
+class Facet(_Frozen):
+    """Inequality <normal, x> <= offset, outward primitive integer normal.
+
+    Facets order by (normal, offset)."""
+
+    __slots__ = _fields = ("normal", "offset")
+
+    def __init__(self, normal: tuple[int, ...], offset: Fraction):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.normal, self.offset) == (other.normal, other.offset)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.normal, self.offset))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.normal, self.offset) < (other.normal, other.offset)
+        return NotImplemented
+
+
+class Polytope(_Frozen):
     """Vertex representation; vertices are extreme points in sorted order.
 
     Construct through convex_hull / minkowski_sum / dilate / translate.
-    The raw constructor trusts its arguments.
+    The raw constructor trusts its arguments.  Equal and hashed over
+    (ambient_dim, vertices, lattice); derived data is cached on the
+    instance.
     """
 
-    ambient_dim: int
-    vertices: tuple[Point, ...]
-    lattice: str = "Z"
+    def __init__(self, ambient_dim: int, vertices: tuple[Point, ...], lattice: str = "Z"):
+        d = self.__dict__
+        d["ambient_dim"], d["vertices"], d["lattice"] = ambient_dim, vertices, lattice
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient_dim, self.vertices, self.lattice) == (
+                other.ambient_dim,
+                other.vertices,
+                other.lattice,
+            )
+        return NotImplemented
 
     # -- basic affine data -------------------------------------------------
 
@@ -368,7 +444,7 @@ class Polytope:
         return all(dot(fct.normal, p) <= fct.offset for fct in self.facets)
 
     @cached_property
-    def _hash(self) -> int:  # the dataclass hash, once: every cache lookup hashes P
+    def _hash(self) -> int:  # once: every cache lookup hashes P
         return hash((self.ambient_dim, self.vertices, self.lattice))
 
     def __hash__(self) -> int:
@@ -1060,11 +1136,11 @@ def volume_in_chart(P: Polytope) -> Fraction:
 # -- faces ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Face:
-    dim: int
-    vertex_indices: frozenset[int]
-    polytope: Polytope
+class Face(_Frozen):
+    __slots__ = _fields = ("dim", "vertex_indices", "polytope")
+
+    def __init__(self, dim: int, vertex_indices: frozenset[int], polytope: Polytope):
+        self._set(dim, vertex_indices, polytope)
 
 
 def face_lattice(P: Polytope) -> tuple[Face, ...]:

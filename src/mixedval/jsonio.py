@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .dissections import Dissection, _simplex_cell
-from .geometry import InexactSum, Polytope, contains, convex_hull
+from .geometry import InexactSum, Polytope, _Frozen, contains, convex_hull
+
+if TYPE_CHECKING:
+    from .dissections import Dissection
 
 __all__ = [
     "InstanceError",
@@ -81,14 +82,19 @@ def points_to_json(points: Sequence[Sequence[Fraction]]) -> list[list[int | str]
     return [[format_rational(c) for c in p] for p in points]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """Parsed instance file: named polytopes over a common lattice."""
 
-    lattice: str
-    dim: int
-    polytopes: dict[str, Polytope]
-    pairs: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    __slots__ = _fields = ("lattice", "dim", "polytopes", "pairs")
+
+    def __init__(
+        self,
+        lattice: str,
+        dim: int,
+        polytopes: dict[str, Polytope],
+        pairs: tuple[tuple[str, str], ...] = (),
+    ):
+        self._set(lattice, dim, polytopes, pairs)
 
     def family(self) -> list[Polytope]:
         """The polytopes in file order."""
@@ -194,6 +200,8 @@ def dissection_to_json(D: Dissection) -> dict[str, Any]:
 
 
 def dissection_from_json(doc: Any) -> Dissection:
+    from .dissections import Dissection, _simplex_cell
+
     if not isinstance(doc, Mapping):
         raise InstanceError("dissection must be a JSON object")
     try:

@@ -21,12 +21,11 @@ products of simplex dimensions, searched one size vector at a time.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Sequence
 
-from .geometry import LatticeMismatch, Polytope, _common_ambient, _require_polytope
+from .geometry import LatticeMismatch, Polytope, _common_ambient, _Frozen, _require_polytope
 from .linalg import extend_echelon, int_rows, primitive
 from .valuations import Valuation, cm
 
@@ -45,8 +44,7 @@ __all__ = [
 LatticePoint = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Frozen):
     """Lattice segment inside one member of a polytope tuple.
 
     `owner` is the index of the polytope the segment came from, and
@@ -54,19 +52,20 @@ class Segment:
     to the second.
     """
 
-    owner: int
-    endpoints: tuple[LatticePoint, LatticePoint]
-    direction: tuple[int, ...]
+    __slots__ = _fields = ("owner", "endpoints", "direction")
 
-    def __post_init__(self) -> None:
-        a, b = self.endpoints
+    def __init__(
+        self, owner: int, endpoints: tuple[LatticePoint, LatticePoint], direction: tuple[int, ...]
+    ):
+        a, b = endpoints
         if any(type(x) is not int for x in (*a, *b)):
             raise ValueError("segment endpoints must be lattice points")
         if a == b:
             raise ValueError("segment endpoints must differ")
         diff = tuple(y - x for x, y in zip(a, b, strict=True))
-        if self.direction != primitive(diff):
+        if direction != primitive(diff):
             raise ValueError("direction must be the primitive endpoint difference")
+        self._set(owner, endpoints, direction)
 
 
 def candidate_segments(polys: Sequence[Polytope]) -> list[Segment]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -32,6 +31,7 @@ from .geometry import (
     scaled_sum,
     translate,
     _common_ambient,
+    _Frozen,
     _require_polytope,
 )
 from .linalg import dot, frac
@@ -48,23 +48,27 @@ class ReconstructionError(ArithmeticError):
     """Computed values do not fit the promised polynomial form."""
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(_Frozen):
     """A rational-valued function on polytopes, zero on the empty set.
 
     ``lattice_requirement`` "Z" restricts the domain to polytopes with
     integer vertices; evaluating elsewhere raises LatticeMismatch.  The
     valuation and translation-invariance axioms are not assumed here;
-    run ``check_valuation`` on anything user-supplied.
+    run ``check_valuation`` on anything user-supplied.  The function is
+    compared and hashed but not shown.
     """
 
-    name: str
-    func: Callable[[Polytope], Fraction] = field(repr=False)
-    lattice_requirement: str = "any"
+    __slots__ = _fields = ("name", "func", "lattice_requirement")
 
-    def __post_init__(self) -> None:
-        if self.lattice_requirement not in ("Z", "Q", "any"):
+    def __init__(
+        self, name: str, func: Callable[[Polytope], Fraction], lattice_requirement: str = "any"
+    ):
+        if lattice_requirement not in ("Z", "Q", "any"):
             raise ValueError("lattice_requirement must be 'Z', 'Q', or 'any'")
+        self._set(name, func, lattice_requirement)
+
+    def __repr__(self) -> str:
+        return f"Valuation(name={self.name!r}, lattice_requirement={self.lattice_requirement!r})"
 
     @property
     def segment_criterion(self) -> bool:
@@ -184,16 +188,17 @@ def _finite_difference(
     return total
 
 
-@dataclass(frozen=True)
-class MixedPolynomial:
+class MixedPolynomial(_Frozen):
     """Expansion of n -> phi(n1 P1 + ... + nr Pr) in binomial products.
 
     ``coefficients`` maps exponent vectors alpha to the coefficient of
     prod_i binom(n_i, alpha_i); absent keys are zero.
     """
 
-    arity: int
-    coefficients: dict[tuple[int, ...], Fraction]
+    __slots__ = _fields = ("arity", "coefficients")
+
+    def __init__(self, arity: int, coefficients: dict[tuple[int, ...], Fraction]):
+        self._set(arity, coefficients)
 
     def evaluate(self, n: Sequence[int]) -> Fraction:
         if len(n) != self.arity:
@@ -257,11 +262,13 @@ def shift_valuation(phi: Valuation, Q: Polytope) -> Valuation:
     )
 
 
-@dataclass(frozen=True)
-class HStarVector:
+class HStarVector(_Frozen):
     """Coefficients h_i with phi(nP) = sum_i h_i * binom(n + r - i, r)."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[Fraction, ...]):
+        self._set(entries)
 
     @property
     def degree(self) -> int:
@@ -299,19 +306,20 @@ def h_star_vector(phi: Valuation, P: Polytope) -> HStarVector:
     return h
 
 
-@dataclass(frozen=True)
-class MonotoneViolation:
-    simplex_vertices: tuple
-    facet_vertices: tuple | None
-    value: Fraction
+class MonotoneViolation(_Frozen):
+    __slots__ = _fields = ("simplex_vertices", "facet_vertices", "value")
+
+    def __init__(self, simplex_vertices: tuple, facet_vertices: tuple | None, value: Fraction):
+        self._set(simplex_vertices, facet_vertices, value)
 
 
-@dataclass(frozen=True)
-class WeakMonotoneReport:
-    valuation: str
-    trials: int
-    checked: int
-    violations: tuple[MonotoneViolation, ...]
+class WeakMonotoneReport(_Frozen):
+    __slots__ = _fields = ("valuation", "trials", "checked", "violations")
+
+    def __init__(
+        self, valuation: str, trials: int, checked: int, violations: tuple[MonotoneViolation, ...]
+    ):
+        self._set(valuation, trials, checked, violations)
 
     @property
     def ok(self) -> bool:
@@ -353,12 +361,13 @@ def weak_hstar_monotone_check(
     return WeakMonotoneReport(phi.name, trials, checked, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
-    valuation: str
-    translation_checks: int
-    additivity_checks: int
-    failures: tuple[str, ...]
+class ConformanceReport(_Frozen):
+    __slots__ = _fields = ("valuation", "translation_checks", "additivity_checks", "failures")
+
+    def __init__(
+        self, valuation: str, translation_checks: int, additivity_checks: int, failures: tuple[str, ...]
+    ):
+        self._set(valuation, translation_checks, additivity_checks, failures)
 
     @property
     def ok(self) -> bool:

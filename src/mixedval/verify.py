@@ -14,7 +14,6 @@ selected: a suite of cost c runs N // c instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -45,6 +44,7 @@ from .dissections import (
 from .geometry import (
     NotGeneric,
     Polytope,
+    _Frozen,
     contains,
     convex_hull,
     cut_halfspace,
@@ -86,15 +86,20 @@ from .valuations import (
 __all__ = ["SuiteResult", "SUITES", "available_suites", "run_suite", "run_suites"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Frozen):
     """Outcome of one property suite."""
 
-    name: str
-    passed: bool
-    checked: int
-    counterexample: str | None = None
-    error: str | None = None
+    __slots__ = _fields = ("name", "passed", "checked", "counterexample", "error")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        checked: int,
+        counterexample: str | None = None,
+        error: str | None = None,
+    ):
+        self._set(name, passed, checked, counterexample, error)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"

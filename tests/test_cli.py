@@ -149,6 +149,23 @@ def test_ehrhart_dilate_rejected_for_families(instance, capsys):
     assert "single-polytope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, dilate, message",
+    [(TRIANGLE, "-1", "must be nonnegative"), (TRI_SEG, "2", "single-polytope")],
+)
+def test_a_bad_dilate_exits_one_before_any_fit(instance, capsys, monkeypatch, doc, dilate, message):
+    # the fit and the h-vector can take seconds; a usage error must not wait for them
+    import mixedval.cli as cli_module
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("mixed_polynomial ran before --dilate was checked")
+
+    monkeypatch.setattr(cli_module, "mixed_polynomial", no_fit)
+    assert main(["ehrhart", "--input", instance(doc), "--dilate", dilate]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 def test_mixed_volume(instance, capsys):
     code, report = run_json(capsys, ["mixed-volume", "--input", instance(TRI_SEG)])
     assert code == 0
@@ -288,12 +305,12 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
 
 
 def test_a_degenerate_cayley_build_exits_one(instance, capsys, monkeypatch):
-    import mixedval.cli as cli_module
+    import mixedval.dissections as dissections_module
 
     def degenerate(polys, opener_seed=0):
         raise mixedval.NotGeneric("no generic opener found")
 
-    monkeypatch.setattr(cli_module, "fine_mixed_dissection", degenerate)
+    monkeypatch.setattr(dissections_module, "fine_mixed_dissection", degenerate)
     assert main(["dissect", "--mode", "cayley", "--input", instance(AXES)]) == 1
     assert capsys.readouterr().err == "mixedval: error: no generic opener found\n"
 

@@ -217,3 +217,70 @@ def test_the_scan_sees_a_member_that_nothing_calls():
     script = ast.parse("from geometry import Box\nprint(Box().area, Box.size)\n")
     trees = {"geometry": geometry, "script": script}
     assert _uncalled_members({"geometry": geometry}, trees) == {"Box.dead"}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Every module the tree imports, at any depth, relative ones with their
+    dots; `from . import name` imports `.name`."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            found.update("." * node.level + a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + node.module)
+    return found
+
+
+def _import_time_modules(tree: ast.Module) -> set[str]:
+    """The modules the tree imports when it is itself imported: those of its
+    module-level statements, class bodies included, but not function
+    bodies or an `if TYPE_CHECKING:` block."""
+    found: set[str] = set()
+    pending = list(tree.body)
+    while pending:
+        stmt = pending.pop()
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name) and stmt.test.id == "TYPE_CHECKING":
+            pending += stmt.orelse
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            found |= _imported_modules(ast.Module(body=[stmt], type_ignores=[]))
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            pending += getattr(stmt, field, [])
+    return found
+
+
+def test_no_package_module_imports_dataclasses():
+    # the decorator execs generated code for every class at import, and
+    # the module pulls in inspect and ast: the value classes are plain
+    users = {name for name, tree in _package_trees().items() if "dataclasses" in _imported_modules(tree)}
+    assert not users
+
+
+def test_the_cli_imports_each_commands_modules_only_when_it_runs():
+    # a command that does not need them must not pay for compiling them
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert not _import_time_modules(tree) & {".verify", ".dissections", ".positivity"}
+
+
+def test_the_scan_sees_an_import_time_import():
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "import json\n"
+        "from .geometry import dilate\n"
+        "if TYPE_CHECKING:\n"
+        "    from .dissections import Dissection\n"
+        "try:\n"
+        "    from . import verify\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def run():\n"
+        "    from .positivity import cylinder_lower_bound\n"
+        "class Box:\n"
+        "    from dataclasses import field\n"
+    )
+    assert _import_time_modules(tree) == {"typing", "json", ".geometry", ".verify", "dataclasses"}
+    assert ".positivity" in _imported_modules(tree)
