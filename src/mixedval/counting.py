@@ -41,8 +41,8 @@ from .geometry import (
     GeometryError,
     Polytope,
     _Frozen,
+    _family,
     _require_polytope,
-    _scaled,
     face_lattice,
 )
 
@@ -55,7 +55,8 @@ MAX_SCAN = 10**7
 
 
 class ScanTooLarge(GeometryError):
-    """A lattice-point enumeration of more than MAX_SCAN fibers or points."""
+    """A lattice-point enumeration of more than MAX_SCAN fibers or points,
+    or a box-cell dissection over its cell limit."""
 
 
 def _refuse_scan(size: int, what: str) -> None:
@@ -93,11 +94,11 @@ class _Support:
     the int support numbers of the summands S1..Sr on the rows of their
     plain sum T, half-open on the facets `removed` of T.
 
-    The summands' vertices are scaled by one common denominator D.  For
-    each facet normal a of T the table keeps <a, .>'s max on each summand,
-    for each equality row e of aff(T) its value on each summand, and for
-    each coordinate its min and max on each summand; rows are split as the
-    scanner takes them, the last coefficient apart.  In T's own table,
+    geometry._family puts the summands' int vertices on one common
+    denominator D.  For each facet normal a of T the table keeps <a, .>'s
+    max on each summand, for each equality row e of aff(T) its value on
+    each summand, and for each coordinate its min and max on each summand;
+    rows are split as the scanner takes them, the last coefficient apart.  In T's own table,
     summands (T,), the max on a facet is D times its offset and the value
     on an equality row D times its right-hand side, read off without a
     pass over the vertices, and no block is split off.
@@ -112,17 +113,13 @@ class _Support:
     def __init__(
         self, summands: Sequence[Polytope], T: Polytope, removed: frozenset[int] = frozenset()
     ):
-        D, ints = _scaled([v for S in summands for v in S.vertices])
+        D, blocks = _family(summands)
         self.D, self.removed = D, removed
         if len(summands) == 1 and summands[0] is T:
             highs = [(f.offset.numerator * (D // f.offset.denominator),) for f in T.facets]
             values = [(f.numerator * (D // f.denominator),) for _, f in T.aff_equalities]
-            self.box = [((min(c),), (max(c),)) for c in zip(*ints)]
+            self.box = [((min(c),), (max(c),)) for c in zip(*blocks[0])]
         else:
-            blocks, k = [], 0
-            for S in summands:
-                blocks.append(ints[k : k + len(S.vertices)])
-                k += len(S.vertices)
             highs = [tuple(max(sum(map(mul, f.normal, v)) for v in pts) for pts in blocks) for f in T.facets]
             values = [tuple(sum(map(mul, e, pts[0])) for pts in blocks) for e, _ in T.aff_equalities]
             cols = [list(zip(*pts)) for pts in blocks]

@@ -26,7 +26,7 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .counting import HalfOpenPolytope, _refuse_scan, _Support, count_half_open
+from .counting import HalfOpenPolytope, ScanTooLarge, _refuse_scan, _Support, count_half_open
 from .geometry import (
     CertificateError,
     DimensionMismatch,
@@ -38,6 +38,7 @@ from .geometry import (
     _Frozen,
     _common_ambient,
     _dilation_vector,
+    _family,
     _lattice_tag,
     _require_polytope,
     _scaled,
@@ -54,6 +55,22 @@ from .samplers import random_relint_point
 # -- half-open operators ------------------------------------------------------
 
 
+def _sides(P: Polytope, D: int, q: Sequence[int], w: int) -> list[int]:
+    """For each facet <a, x> <= b of P, in int, a number with the sign of
+    <a, q / D> - w b: <a, q> den(b) - w num(b) D.  Weight w = 1 places
+    the point q / D, w = 0 the direction q."""
+    return [sum(map(mul, f.normal, q)) * f.offset.denominator - w * f.offset.numerator * D for f in P.facets]
+
+
+def _visible(P: Polytope, D: int, q: Sequence[int], w: int, tie: str) -> frozenset[int]:
+    """The facets of P with a positive side (_sides); NotGeneric(tie) when
+    one side is 0."""
+    sides = _sides(P, D, q, w)
+    if 0 in sides:
+        raise NotGeneric(tie)
+    return frozenset(i for i, s in enumerate(sides) if s > 0)
+
+
 def half_open_by_point(P: Polytope, q: Sequence) -> HalfOpenPolytope:
     """Remove the facets of P visible from q.
 
@@ -67,14 +84,8 @@ def half_open_by_point(P: Polytope, q: Sequence) -> HalfOpenPolytope:
     for e, f0 in P.aff_equalities:
         if dot(e, qv) != f0:
             raise GeometryError("opening point must lie in the affine hull")
-    removed = set()
-    for i, f in enumerate(P.facets):
-        s = dot(f.normal, qv)
-        if s == f.offset:
-            raise NotGeneric("opening point lies on a facet hyperplane")
-        if s > f.offset:
-            removed.add(i)
-    return HalfOpenPolytope(P, frozenset(removed))
+    Dq, (qi,) = _scaled([qv])
+    return HalfOpenPolytope(P, _visible(P, Dq, qi, 1, "opening point lies on a facet hyperplane"))
 
 
 def half_open_by_direction(P: Polytope, u: Sequence) -> HalfOpenPolytope:
@@ -90,14 +101,8 @@ def half_open_by_direction(P: Polytope, u: Sequence) -> HalfOpenPolytope:
     for e, _ in P.aff_equalities:
         if dot(e, uv) != 0:
             raise NotGeneric("direction must be parallel to the affine hull")
-    removed = set()
-    for i, f in enumerate(P.facets):
-        s = dot(f.normal, uv)
-        if s == 0:
-            raise NotGeneric("direction is parallel to a facet hyperplane")
-        if s > 0:
-            removed.add(i)
-    return HalfOpenPolytope(P, frozenset(removed))
+    Du, (ui,) = _scaled([uv])
+    return HalfOpenPolytope(P, _visible(P, Du, ui, 0, "direction is parallel to a facet hyperplane"))
 
 
 # -- mixed cells and dissections ------------------------------------------------
@@ -108,30 +113,26 @@ class _SimplexProduct:
     product (the Cayley trick: Huber, Rambau & Santos, JEMS 2, 2000), built
     from one integer inverse and no hull.
 
-    The vertices are scaled by their common denominator D, and the edges
-    vj,v - vj,0 (v >= 1) of each Sj by the least Dj that makes them
-    integral; E is the k x k matrix of those edges in the pivot columns of
-    their span.  A point of n1 S1 + ... + nr Sr is o(n) + mu E, o(n) the
-    sum of the nj vj,0 and mu in the product of the simplices {mu_j >= 0,
-    sum mu_j <= nj / Dj}.  The edges are independent exactly when the
-    summands are simplices whose dimensions add up: that rank test is the
-    exactness check.  Faces of a product are products of faces (Ziegler,
-    Lectures on Polytopes, section 0.1), so the vertices are the sums over
-    the index tuples, and the facets are the pairs (j, v) with kj = dim Sj
-    >= 1, mu_j,v >= 0 for v >= 1 and sum mu_j at its top for v = 0, each
-    tight on the tuples whose j-th index is not v.  In chart coordinates
-    y, mu = y adj(E) / det E, so every normal is a column of the adjugate
-    or the sum of block j's columns.  `blocks` holds (j, kj, the position
-    of Sj's first edge, Dj) for kj >= 1, and `labels` the (j, v) of each
-    facet of `cell`, in its facet order.
+    The summands' int vertices are put on one common denominator D
+    (geometry._family), and the edges vj,v - vj,0 (v >= 1) of each Sj are
+    scaled by the least Dj that makes them integral; E is the k x k matrix
+    of those edges in the pivot columns of their span.  A point of n1 S1 +
+    ... + nr Sr is o(n) + mu E, o(n) the sum of the nj vj,0 and mu in the
+    product of the simplices {mu_j >= 0, sum mu_j <= nj / Dj}.  The edges
+    are independent exactly when the summands are simplices whose dimensions
+    add up: that rank test is the exactness check.  Faces of a product are
+    products of faces (Ziegler, Lectures on Polytopes, section 0.1), so the
+    vertices are the sums over the index tuples, and the facets are the
+    pairs (j, v) with kj = dim Sj >= 1, mu_j,v >= 0 for v >= 1 and sum mu_j
+    at its top for v = 0, each tight on the tuples whose j-th index is not
+    v.  In chart coordinates y, mu = y adj(E) / det E, so every normal is a
+    column of the adjugate or the sum of block j's columns.  `blocks` holds
+    (j, kj, the position of Sj's first edge, Dj) for kj >= 1, and `labels`
+    the (j, v) of each facet of `cell`, in its facet order.
     """
 
     def __init__(self, summands: Sequence[Polytope]):
-        D, ints = _scaled([v for S in summands for v in S.vertices])
-        blocks, at = [], 0
-        for S in summands:
-            blocks.append(ints[at : at + len(S.vertices)])
-            at += len(S.vertices)
+        D, blocks = _family(summands)
         # each summand's edges over the least Dj that makes them integral
         edges, self.blocks = [], []
         for j, b in enumerate(blocks):
@@ -393,20 +394,6 @@ class Dissection(_Frozen):
         return _Support(self.factors, minkowski_sum_all(self.factors))
 
 
-def _sides(c: MixedCell, Dq: int, qi: Sequence[int]) -> list[int]:
-    """For each facet <a, x> <= b of the cell, the sign of <a, q> - b for
-    the point q = qi / Dq, as <a, qi> den(b) - num(b) Dq in int."""
-    return [
-        sum(map(mul, f.normal, qi)) * f.offset.denominator - f.offset.numerator * Dq
-        for f in c.cell.facets
-    ]
-
-
-def _has_tie(cells: Sequence[MixedCell], q: Sequence[Fraction]) -> bool:
-    Dq, (qi,) = _scaled([q])
-    return any(0 in _sides(c, Dq, qi) for c in cells)
-
-
 def generic_opener(
     target: Polytope,
     cells: Sequence[MixedCell],
@@ -421,7 +408,8 @@ def generic_opener(
     rng = random.Random(seed)
     for attempt in range(256):
         q = random_relint_point(rng, src, weight_bound=97 + 31 * attempt)
-        if not _has_tie(cells, q):
+        Dq, (qi,) = _scaled([q])
+        if all(0 not in _sides(c.cell, Dq, qi, 1) for c in cells):
             return tuple(q)
     raise NotGeneric("no generic opener found; target may be degenerate")
 
@@ -443,13 +431,9 @@ def open_dissection(
         if len(qv) != D.target.ambient_dim:
             raise DimensionMismatch("opening point has the wrong dimension")
     Dq, (qi,) = _scaled([qv])
-    cells = []
-    for c in D.cells:
-        sides = _sides(c, Dq, qi)
-        if 0 in sides:
-            raise NotGeneric("opening point lies on a cell facet hyperplane")
-        cells.append(c.with_removed(frozenset(i for i, s in enumerate(sides) if s > 0)))
-    return Dissection(D.target, tuple(cells), tuple(qv), D.factors)
+    tie = "opening point lies on a cell facet hyperplane"
+    cells = tuple(c.with_removed(_visible(c.cell, Dq, qi, 1, tie)) for c in D.cells)
+    return Dissection(D.target, cells, tuple(qv), D.factors)
 
 
 def certify_dissection(D: Dissection) -> int:
@@ -509,15 +493,36 @@ def order_simplex(d: int) -> Polytope:
     return convex_hull(verts)
 
 
+_BOXCELL_VERTICES = 5 * 10**4
+_BOXCELL_DIM = 30
+
+
 def boxcell_dissection(d: int, n: int, *, seed: int = 0) -> Dissection:
     """Dissect the n-th dilate of the order simplex into half-open
     cylinders, one per weakly increasing base vector in {0..n-1}^d.
 
     A cell is its base point plus one order simplex per constant block
     of the base vector, so a cell with k blocks is a k-cylinder.
+
+    There are binom(n + d - 1, d) cells with binom(d + 2n - 1, d) vertices
+    in all (k blocks of sizes si give prod (si + 1) vertices, and the sum of
+    (s + 1) x^s over s >= 1 is (1 - x)^-2 - 1).  `mixedval dissect` spends
+    30-190 us and 2-6 KB per cell vertex, and past d = 30 the target alone
+    takes seconds, so ScanTooLarge refuses d > 30 and more than 5 * 10^4
+    cell vertices before any cell is built (at most 25000 cells at d = 1,
+    5984 at d = 3): the rest run in under 10 s and 250 MB (2-vCPU Intel
+    Xeon, Python 3.11.7).
     """
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
+    if d > _BOXCELL_DIM:
+        raise ScanTooLarge(f"a box-cell dissection in dimension {d} exceeds the limit of {_BOXCELL_DIM}")
+    vertices = comb(d + 2 * n - 1, d)
+    if vertices > _BOXCELL_VERTICES:
+        raise ScanTooLarge(
+            f"a box-cell dissection of {comb(n + d - 1, d)} cells with {vertices} vertices"
+            f" exceeds the limit of {_BOXCELL_VERTICES} vertices"
+        )
     target = dilate(order_simplex(d), n)
     cells = []
     for base in itertools.combinations_with_replacement(range(n), d):
@@ -635,11 +640,11 @@ def placing_triangulation(P: Polytope) -> Dissection:
     """Triangulate by placing the vertices one at a time in their stored
     order, coning each new vertex over the boundary faces it sees.
 
-    The vertices go to placing_cells as they are; it charts them itself.
+    placing_cells takes P's int vertices (_ints) and charts them itself.
     """
     P = _require_polytope(P)
     cells = []
-    for c in placing_cells(P.vertices):
+    for c in placing_cells(P._ints[1]):
         verts = tuple(sorted(P.vertices[t] for t in c))
         simplex = Polytope(P.ambient_dim, verts, _lattice_tag(verts, None))
         cells.append(_simplex_cell((simplex,)))

@@ -18,12 +18,16 @@ Python int on the points scaled by one common denominator D, in the
 affine chart whose basis is the reduced int echelon of their directions,
 where local coordinates are pivot entries; only the vertices and the
 facet offsets go back to Fraction.  convex_hull runs it on its input and
-a raw-constructed Polytope on its own vertices.
+a raw-constructed Polytope on its own vertices.  Every polytope scales
+its vertices once, into Polytope._ints = (D, the vertices times D),
+which the routes that build it from int points fill; D is a common
+denominator, not always the least, so integrality and lattice tags are
+read from the Fractions.
 
-A Minkowski sum scales both summands by one D.  When the sum's affine
-hull is a plane, whatever the ambient dimension, its chart is read off
-the summands' charts and the sum runs no hull: the two edge cycles,
-points and segments included, are merged by slope with int cross
+A Minkowski sum puts both summands on one D (_family).  When the sum's
+affine hull is a plane, whatever the ambient dimension, its chart is
+read off the summands' charts and the sum runs no hull: the two edge
+cycles, points and segments included, are merged by slope with int cross
 products in O(|V(P)| + |V(Q)|) after sorting each (de Berg, Cheong, van
 Kreveld & Overmars, Computational Geometry, 3rd ed., section 13.3), and
 the merge gives the vertices, each edge's normal and its two-vertex
@@ -251,7 +255,13 @@ class Polytope(_Frozen):
         """(origin, basis rows, pivot columns): the basis of lin(aff P) is the
         reduced int echelon of its directions, primitive rows with positive
         pivots, each zero in the other pivot columns."""
-        return (self.vertices[0], *_span_basis(_scaled(self.vertices)[1]))
+        return (self.vertices[0], *_span_basis(self._ints[1]))
+
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, the vertices times D) for a common denominator D, in tuples of
+        int, which the garbage collector stops tracking."""
+        return _scaled(self.vertices)
 
     @cached_property
     def aff_equalities(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
@@ -281,10 +291,8 @@ class Polytope(_Frozen):
     def _facet_data(self) -> tuple[tuple[Facet, ...], tuple[frozenset[int], ...]]:
         if self.dim == 0:
             return (), ()
-        _, loc = _integer_chart(self.vertices, self._chart)
-        _, facets = _hull(loc, self.dim)
-        normals = ((alpha, tight) for alpha, _, tight in facets)
-        return self._assemble_facets(normals, *_scaled(self.vertices))
+        _, facets = _hull(_local(self._ints[1], self._chart[2]), self.dim)
+        return self._assemble_facets((alpha, tight) for alpha, _, tight in facets)
 
     @cached_property
     def _lift(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -297,14 +305,13 @@ class Polytope(_Frozen):
     def _assemble_facets(
         self,
         chart_facets: Iterable[tuple[tuple[int, ...], frozenset[int]]],
-        D: int,
-        ints: Sequence[tuple[int, ...]],
     ) -> tuple[tuple[Facet, ...], tuple[frozenset[int], ...]]:
         """Sorted ambient facets and their tight sets from the outward
-        normals alpha of the facets in the chart and their tight sets, for
-        ints the vertices times D: the lifted normal, made primitive, takes
-        its offset at a vertex of the facet."""
+        normals alpha of the facets in the chart and their tight sets: the
+        lifted normal, made primitive, takes its offset at a vertex of the
+        facet, in int on _ints."""
         M, _ = self._lift
+        D, ints = self._ints
         out = []
         for alpha, tight in chart_facets:
             a = [sum(map(mul, row, alpha)) for row in M]
@@ -373,7 +380,7 @@ class Polytope(_Frozen):
         positive multiple of +-(v_j - v_i) in int and a, b its two facets,
         whose normals na, nb span its normal cone, ordered so that
         <e, na x nb> > 0."""
-        _, pts = _scaled(self.vertices)
+        pts = self._ints[1]
         normals = [f.normal for f in self.facets]
         out = []
         for i, j, a, b in self._ridges:
@@ -386,7 +393,7 @@ class Polytope(_Frozen):
     @cached_property
     def integer_edges(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
         """(start, end, primitive direction) of each edge, on the int-scaled vertices."""
-        _, pts = _scaled(self.vertices)
+        pts = self._ints[1]
         return tuple((pts[i], pts[j], primitive(vsub(pts[j], pts[i]))) for i, j in self.edges)
 
     @cached_property
@@ -417,7 +424,7 @@ class Polytope(_Frozen):
             yield self._chart[1]
             return
         if k not in self._span_search:
-            self._span_search[k] = ([], set(), combinations(_scaled(self.vertices)[1], k + 1))
+            self._span_search[k] = ([], set(), combinations(self._ints[1], k + 1))
         found, seen, subsets = self._span_search[k]
         i = 0
         while True:
@@ -486,20 +493,20 @@ def _span_lift(
     return tuple(tuple(x // g for x in row) for row in m), L // g
 
 
-def _prepopulate(
-    P: Polytope, facets: tuple[Facet, ...], tights: tuple[frozenset[int], ...]
-) -> Polytope:
-    P.__dict__["_facet_data"] = (facets, tights)
-    return P
-
-
 # -- hull construction -------------------------------------------------------
 
 
-def _scaled(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
+def _scaled(points: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, the points times D) for the common denominator D of the points."""
     D = lcm(*(x.denominator for p in points for x in p))
-    return D, [tuple(x.numerator * (D // x.denominator) for x in p) for p in points]
+    return D, tuple([tuple(x.numerator * (D // x.denominator) for x in p) for p in points])
+
+
+def _family(polys: Sequence[Polytope]) -> tuple[int, list[tuple[tuple[int, ...], ...]]]:
+    """(D, each polytope's vertices times D), D the lcm of the D's of their _ints."""
+    D = lcm(*(P._ints[0] for P in polys))
+    factors = ((D // E, ints) for E, ints in (P._ints for P in polys))
+    return D, [ints if m == 1 else tuple([tuple(x * m for x in v) for v in ints]) for m, ints in factors]
 
 
 def _span_basis(
@@ -517,12 +524,11 @@ def _span_basis(
     return tuple(tuple(r) for _, r in ech), tuple(c for c, _ in ech)
 
 
-def _integer_chart(points: Sequence[Point], chart: Chart) -> tuple[int, list[tuple[int, ...]]]:
-    """(D, coordinates): the points and the chart origin scaled by one common
-    denominator D, subtracted in int; local coordinates are pivot entries."""
-    o, _, pivots = chart
-    D, (oi, *pts) = _scaled([o, *points])
-    return D, [tuple(p[c] - oi[c] for c in pivots) for p in pts]
+def _local(points: Sequence[tuple[int, ...]], pivots: Sequence[int]) -> list[tuple[int, ...]]:
+    """Chart coordinates of int points whose chart origin is the first: the
+    pivot entries of each point minus those of the first."""
+    o = points[0]
+    return [tuple(p[c] - o[c] for c in pivots) for p in points]
 
 
 def _affine_rank(points: Sequence[Sequence[int]]) -> int:
@@ -633,9 +639,7 @@ def _hull_polytope(D: int, points: Sequence[tuple[int, ...]], lattice: str | Non
     """
     basis, pivots = _span_basis(points)
     k = len(pivots)
-    o = points[0]
-    loc = [tuple(p[c] - o[c] for c in pivots) for p in points]
-    chosen, facets = _hull(loc, k) if k else ([0], [])
+    chosen, facets = _hull(_local(points, pivots), k) if k else ([0], [])
     position = {i: n for n, i in enumerate(chosen)}
     on_vertices = [
         (alpha, frozenset(position[i] for i in tight if i in position))
@@ -651,22 +655,22 @@ def _assembled(
     chart_facets: Iterable[tuple[tuple[int, ...], frozenset[int]]],
     lattice: str | None = None,
 ) -> Polytope:
-    """The polytope with the sorted distinct int vertices over D, the chart
-    basis and pivots of its span, and the outward chart normals of its
-    facets with their tight sets on the vertex positions; Fraction is
-    built only for the vertices and the facet offsets.  The least vertex
-    is the chart origin, and the reduced echelon depends on the span
-    alone, so this is P's own chart."""
+    """The polytope with the sorted distinct int vertices over D, kept as
+    its _ints, the chart basis and pivots of its span, and the outward
+    chart normals of its facets with their tight sets on the vertex
+    positions; Fraction is built only for the vertices and the facet
+    offsets.  The least vertex is the chart origin, and the reduced
+    echelon depends on the span alone, so this is P's own chart."""
     verts = tuple(tuple(rational(x, D) for x in v) for v in vertices)
     P = Polytope(len(verts[0]), verts, _lattice_tag(verts, lattice))
-    P.__dict__["_chart"] = (verts[0], *span)
-    return _prepopulate(P, *P._assemble_facets(chart_facets, D, vertices))
+    P.__dict__.update(_chart=(verts[0], *span), _ints=(D, tuple(vertices)))
+    P.__dict__["_facet_data"] = P._assemble_facets(chart_facets)
+    return P
 
 
 def point_polytope(coords: Sequence) -> Polytope:
     v = vec(coords)
-    tag = "Z" if all(x.denominator == 1 for x in v) else "Q"
-    return Polytope(len(v), (v,), tag)
+    return Polytope(len(v), (v,), _lattice_tag((v,), None))
 
 
 def origin_polytope(d: int) -> Polytope:
@@ -696,7 +700,7 @@ def translate(P: Polytope, t: Sequence) -> Polytope:
     if "_facet_data" in P.__dict__:
         facets, tights = P._facet_data
         moved = tuple(Facet(f.normal, f.offset + dot(f.normal, tv)) for f in facets)
-        _prepopulate(Q, moved, tights)
+        Q.__dict__["_facet_data"] = (moved, tights)
     return Q
 
 
@@ -714,7 +718,7 @@ def scale(P: Polytope, c) -> Polytope:
     if "_facet_data" in P.__dict__:
         facets, tights = P._facet_data
         moved = tuple(Facet(f.normal, f.offset * c) for f in facets)
-        _prepopulate(Q, moved, tights)
+        Q.__dict__["_facet_data"] = (moved, tights)
     return Q
 
 
@@ -732,8 +736,8 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     """The Minkowski sum P + Q.
 
     Exact for lattice and rational summands in every dimension.  Both
-    summands are scaled by one common denominator D.  A sum of two
-    3-polytopes in Q^3 is read off their normal fans (_fan_sum), a sum
+    summands' ints are put on one common denominator D (_family).  A sum of
+    two 3-polytopes in Q^3 is read off their normal fans (_fan_sum), a sum
     whose affine hull is a plane merges the two edge cycles (_plane_sum),
     and any other hulls the distinct int vertex sums as they are, D > 0
     keeping their order.
@@ -741,14 +745,13 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     P, Q = _require_polytope(P), _require_polytope(Q)
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("summands live in different ambient spaces")
-    D, ints = _scaled(P.vertices + Q.vertices)
-    n = len(P.vertices)
+    D, (ps, qs) = _family((P, Q))
     if P.ambient_dim == P.dim == Q.dim == 3:
-        return _fan_sum(D, P, Q, ints[:n], ints[n:])
+        return _fan_sum(D, P, Q, ps, qs)
     span = _plane_span(P, Q)
     if span is not None:
-        return _plane_sum(D, ints[:n], ints[n:], span)
-    sums = sorted({tuple(map(add, p, q)) for p in ints[:n] for q in ints[n:]})
+        return _plane_sum(D, ps, qs, span)
+    sums = sorted({tuple(map(add, p, q)) for p in ps for q in qs})
     return _hull_polytope(D, sums, None)
 
 
@@ -965,40 +968,39 @@ def scaled_sum(polys: Sequence[Polytope], n: Sequence[int]) -> Polytope:
 
 def _rescaled(S: Polytope, parts: Sequence[tuple[Polytope, int]]) -> Polytope:
     """n1 P1 + ... + nr Pr, every ni > 0, from S = P1 + ... + Pr, in int on
-    one common denominator D.  The sum c of the normals of the facets
-    through a vertex of S is inside its normal cone, so <c, .> has one
-    maximizer on each Pi; the new vertex is the sum of ni times those.
-    Normals, facet order, tight sets (on the new vertex order), the chart
-    basis, _lift and the equality normals carry over; the offsets are
-    taken at the new vertices."""
+    the summands' common denominator D (_family).  The sum c of the normals
+    of the facets through a vertex of S is inside its normal cone, so <c, .>
+    has one maximizer on each Pi; the new vertex, kept in T._ints, is the
+    sum of ni times those.  Normals, facet order, tight sets (on the new
+    vertex order), the chart basis, _lift and the equality normals carry
+    over; the offsets are taken at the new vertices."""
     d, (facets, tights) = S.ambient_dim, S._facet_data
-    D, ints = _scaled([v for P, _ in parts for v in P.vertices])
-    it = iter(ints)
-    blocks = [([next(it) for _ in P.vertices], k) for P, k in parts]
+    D, blocks = _family([P for P, _ in parts])
     cones = [[0] * d for _ in S.vertices]
     for f, tight in zip(facets, tights):
         for j in tight:
             cones[j] = list(map(add, cones[j], f.normal))
     points = []
     for c in cones:
-        tops = [(k, max(pts, key=lambda v: sum(map(mul, c, v)))) for pts, k in blocks]
-        points.append([sum(k * v[j] for k, v in tops) for j in range(d)])
+        tops = [(k, max(pts, key=lambda v: sum(map(mul, c, v)))) for pts, (_, k) in zip(blocks, parts)]
+        points.append(tuple([sum(k * v[j] for k, v in tops) for j in range(d)]))
     order = sorted(range(len(points)), key=points.__getitem__)
     position = {j: i for i, j in enumerate(order)}
     verts = tuple(tuple(rational(x, D) for x in points[j]) for j in order)
     T = Polytope(d, verts, _lattice_tag(verts, None))
     o = points[order[0]]
+    offsets = [rational(sum(map(mul, f.normal, points[min(t)])), D) for f, t in zip(facets, tights)]
     T.__dict__.update(
         _chart=(verts[0], *S._chart[1:]),
+        _ints=(D, tuple([points[j] for j in order])),
         _lift=S._lift,
         aff_equalities=tuple((e, rational(sum(map(mul, e, o)), D)) for e, _ in S.aff_equalities),
+        _facet_data=(
+            tuple(Facet(f.normal, c) for f, c in zip(facets, offsets)),
+            tuple(frozenset(position[j] for j in t) for t in tights),
+        ),
     )
-    offsets = [rational(sum(map(mul, f.normal, points[min(t)])), D) for f, t in zip(facets, tights)]
-    return _prepopulate(
-        T,
-        tuple(Facet(f.normal, c) for f, c in zip(facets, offsets)),
-        tuple(frozenset(position[j] for j in t) for t in tights),
-    )
+    return T
 
 
 def _dilation_vector(n: Sequence[int], r: int) -> tuple[int, ...]:
@@ -1116,7 +1118,8 @@ def volume_in_chart(P: Polytope) -> Fraction:
     k = P.dim
     if k == 0:
         return Fraction(0)
-    D, loc = _integer_chart(P.vertices, P._chart)
+    D, ints = P._ints
+    loc = _local(ints, P._chart[2])
 
     def pull(S: frozenset[int], apexes: tuple[int, ...]) -> int:
         if len(S) + len(apexes) == k + 1:  # S is a simplex face

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from .counting import lattice_points
-from .geometry import Polytope, _scaled, convex_hull
+from .geometry import Polytope, convex_hull
 from .linalg import Vec, rational
 
 
@@ -128,10 +128,10 @@ def random_relint_point(
 
     Positive convex combinations of all vertices stay strictly inside
     every proper face, so no rejection is needed.  The combination is
-    summed in int over the vertices scaled by their common denominator.
+    summed in int over P's int vertices (Polytope._ints).
     """
     weights = [rng.randint(1, weight_bound) for _ in P.vertices]
-    D, pts = _scaled(P.vertices)
+    D, pts = P._ints
     total = sum(weights) * D
     return tuple(rational(sum(map(mul, weights, col)), total) for col in zip(*pts))
 

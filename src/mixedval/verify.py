@@ -349,15 +349,22 @@ def _euler_relation(rng, dims, budget):
     return budget, None
 
 
-@_suite("volume-translation-invariant")
-def _volume_translation(rng, dims, budget):
-    for t in range(budget):
-        d = _dim(rng, dims)
-        P = _poly(rng, d, t, budget)
-        shift = [rng.randint(-5, 5) for _ in range(d)]
-        if exact_volume(translate(P, shift)) != exact_volume(P):
-            return t, f"{_fmt([P])} shift {shift}"
-    return budget, None
+def _translation_invariant(measure: Callable[[Polytope], object]) -> SuiteBody:
+    """The suite that measure(P + t) == measure(P) for integer shifts t."""
+
+    def body(rng, dims, budget):
+        for t in range(budget):
+            d = _dim(rng, dims)
+            P = _poly(rng, d, t, budget)
+            shift = [rng.randint(-5, 5) for _ in range(d)]
+            if measure(translate(P, shift)) != measure(P):
+                return t, f"{_fmt([P])} shift {shift}"
+        return budget, None
+
+    return body
+
+
+_suite("volume-translation-invariant")(_translation_invariant(exact_volume))
 
 
 # -- lattice enumeration suites --------------------------------------------------
@@ -400,15 +407,7 @@ def _count_monotone(rng, dims, budget):
     return budget, None
 
 
-@_suite("count-translation-invariant")
-def _count_translation(rng, dims, budget):
-    for t in range(budget):
-        d = _dim(rng, dims)
-        P = _poly(rng, d, t, budget)
-        shift = [rng.randint(-5, 5) for _ in range(d)]
-        if count_lattice_points(translate(P, shift)) != count_lattice_points(P):
-            return t, f"{_fmt([P])} shift {shift}"
-    return budget, None
+_suite("count-translation-invariant")(_translation_invariant(count_lattice_points))
 
 
 # -- valuation suites ------------------------------------------------------------
@@ -470,21 +469,29 @@ def _vanishing(rng, dims, budget):
     return budget, None
 
 
-@_suite("nested-monotone-nonnegative", cost=2)
-def _nested_monotone(rng, dims, budget):
-    dvol = builtin_valuations()["dvol"]
-    for t in range(budget):
-        d = _dim(rng, dims)
-        r = rng.randint(1, d)
-        small, big = [], []
-        for _ in range(r):
-            P, Q = random_nested_pair(rng, d, bound=2)
-            small.append(P)
-            big.append(Q)
-        lo, hi = cm(dvol, small), cm(dvol, big)
-        if not 0 <= lo <= hi:
-            return t, f"{_fmt(small)} vs {_fmt(big)}: {lo}, {hi}"
-    return budget, None
+def _mixed_monotone(valuation: str) -> SuiteBody:
+    """The suite that 0 <= CM(small) <= CM(big) for the named builtin
+    valuation on componentwise nested lattice families."""
+
+    def body(rng, dims, budget):
+        phi = builtin_valuations()[valuation]
+        for t in range(budget):
+            d = _dim(rng, dims)
+            r = rng.randint(1, d)
+            small, big = [], []
+            for _ in range(r):
+                P, Q = random_nested_pair(rng, d, bound=2)
+                small.append(P)
+                big.append(Q)
+            lo, hi = cm(phi, small), cm(phi, big)
+            if not 0 <= lo <= hi:
+                return t, f"{_fmt(small)} vs {_fmt(big)}: {lo}, {hi}"
+        return budget, None
+
+    return body
+
+
+_suite("nested-monotone-nonnegative", cost=2)(_mixed_monotone("dvol"))
 
 
 @_suite("bernstein-identity", cost=3)
@@ -528,21 +535,7 @@ def _planar_proportionality(rng, dims, budget):
     return budget, None
 
 
-@_suite("volume-mixed-monotone", cost=2)
-def _volume_monotone(rng, dims, budget):
-    vol = builtin_valuations()["vol"]
-    for t in range(budget):
-        d = _dim(rng, dims)
-        r = rng.randint(1, d)
-        small, big = [], []
-        for _ in range(r):
-            P, Q = random_nested_pair(rng, d, bound=2)
-            small.append(P)
-            big.append(Q)
-        lo, hi = cm(vol, small), cm(vol, big)
-        if not 0 <= lo <= hi:
-            return t, f"{_fmt(small)} vs {_fmt(big)}: {lo}, {hi}"
-    return budget, None
+_suite("volume-mixed-monotone", cost=2)(_mixed_monotone("vol"))
 
 
 @_suite("binomial-reconstruction", cost=4)

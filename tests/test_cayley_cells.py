@@ -37,7 +37,7 @@ from mixedval.dissections import (
     generic_opener,
     open_dissection,
 )
-from mixedval.geometry import _integer_chart, _lattice_tag, placing_cells
+from mixedval.geometry import _lattice_tag, _local, _scaled, placing_cells
 from mixedval.samplers import random_lattice_polytope, random_rational_polytope
 
 from .test_placing import _volume_corpus
@@ -47,7 +47,7 @@ from .test_scaled_sum import _lower
 def _charted_cells(pts, chart):
     """Placing cells of the points in list order, on their coordinates
     in the chart of their hull."""
-    return placing_cells(_integer_chart(pts, chart)[1])
+    return placing_cells(_local(_scaled(pts)[1], chart[2]))
 
 
 def _charted_triangulation(P):
@@ -182,7 +182,7 @@ def test_the_cayley_builders_hull_no_cayley_points(monkeypatch):
 
     for name in ("convex_hull", "cayley_polytope", "placing_triangulation"):
         monkeypatch.setattr(dissections, name, refuse)
-    assert not hasattr(dissections, "_integer_chart")
+    assert not hasattr(dissections, "_local")
     for inner, outer in cases:
         assert fine_mixed_dissection(outer).cells
         assert mixed_difference_certificate(inner, outer).dissection.cells

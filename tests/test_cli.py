@@ -278,6 +278,17 @@ def test_an_oversized_instance_exits_1_with_one_line(instance, capsys, command):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_an_oversized_boxcell_dissection_exits_1_with_one_line(capsys):
+    # binom(61, 12), about 1.7 * 10^12 cells, refused before any is built
+    started = time.perf_counter()
+    assert main(["dissect", "--mode", "boxcell", "--dim", "12", "--dilate", "50"]) == 1
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mixedval: error: a box-cell dissection of 1742058970275 cells with ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_verify_single_suite(capsys):
     assert main(["verify", "hull-idempotent", "--trials", "8"]) == 0
     out = capsys.readouterr().out

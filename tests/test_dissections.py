@@ -130,6 +130,23 @@ def test_boxcell_census_sizes():
         }
 
 
+def test_the_boxcell_limit_counts_the_vertices_of_the_cells(monkeypatch):
+    from mixedval import dissections
+    from mixedval.counting import ScanTooLarge
+
+    from math import comb
+
+    for d, n in ((1, 4), (2, 5), (3, 4), (4, 3), (5, 2), (6, 3)):
+        D = boxcell_dissection(d, n)
+        assert comb(d + 2 * n - 1, d) == sum(len(c.cell.vertices) for c in D.cells)
+    monkeypatch.setattr(dissections, "_BOXCELL_VERTICES", 120)
+    boxcell_dissection(3, 4)
+    with pytest.raises(ScanTooLarge, match="of 35 cells with 220 vertices exceeds the limit of 120 vertices"):
+        boxcell_dissection(3, 5)
+    with pytest.raises(ScanTooLarge, match="dimension 31 exceeds the limit of 30"):
+        boxcell_dissection(31, 1)
+
+
 def test_staircase_of_two_segments(e1_segment, e2_segment):
     D = staircase_dissection(e1_segment, e2_segment)
     assert len(D.cells) == 2

@@ -153,6 +153,46 @@ def test_the_scan_sees_an_unused_linalg_function():
     assert _unreferenced_definitions(trees, {"convex_hull"}) == {"linalg.rref", "linalg._dead", "geometry.helper"}
 
 
+def _vertex_scalings(tree: ast.Module) -> list[int]:
+    """Lines of the _scaled(...) calls whose argument reads a `.vertices`,
+    directly or through a comprehension or a sum over them, outside a
+    function named _ints: a polytope's vertices are scaled once, by
+    Polytope._ints, and read from it everywhere else."""
+    exempt = {
+        id(node)
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == "_ints"
+        for node in ast.walk(f)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_scaled"
+        and id(node) not in exempt
+        and any(isinstance(n, ast.Attribute) and n.attr == "vertices" for arg in node.args for n in ast.walk(arg))
+    )
+
+
+def test_no_module_scales_a_polytopes_vertices():
+    found = {name: lines for name, tree in _package_trees().items() if (lines := _vertex_scalings(tree))}
+    assert not found, f"_scaled on a polytope's vertices (read Polytope._ints): {found}"
+
+
+def test_the_scan_sees_a_scaling_of_vertices():
+    tree = ast.parse(
+        "class Polytope:\n"
+        "    def _ints(self): return _scaled(self.vertices)\n"
+        "D, ints = _scaled(P.vertices)\n"
+        "D, ints = _scaled([v for S in summands for v in S.vertices])\n"
+        "D, ints = geometry._scaled(P.vertices + Q.vertices)\n"
+        "D, (qi,) = _scaled([q])\n"
+        "D, pts = P._ints\n"
+        "D, pts = _scaled(vertices)\n"
+    )
+    assert _vertex_scalings(tree) == [3, 4, 5]
+
+
 def _caller_trees() -> dict[str, ast.Module]:
     """The code that may call the package's public API: its modules but
     __init__, which only re-exports, the scripts, and the benchmark but

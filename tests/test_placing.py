@@ -4,7 +4,7 @@ Fraction reference."""
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from mixedval import (
     Polytope,
@@ -15,7 +15,7 @@ from mixedval import (
     scaled_sum,
 )
 from mixedval import geometry
-from mixedval.geometry import _scaled, placing_cells, volume_in_chart
+from mixedval.geometry import placing_cells, volume_in_chart
 from mixedval.linalg import det, dot, is_zero, vec, vsub
 from mixedval.samplers import random_lattice_polytope, random_rational_polytope
 
@@ -189,10 +189,11 @@ def _volume_corpus(count=1200, seed=8311):
     return out
 
 
-def _fraction_chart(points, chart):
-    """The chart coordinates by Fraction differences, scaled afterwards."""
-    o, _, pivots = chart
-    return _scaled([[p[c] - o[c] for c in pivots] for p in points])
+def _fraction_ints(P):
+    """P's vertices times D by Fraction products, for D twice their least
+    common denominator, as a sum may keep a larger D than its own."""
+    D = 2 * lcm(*(x.denominator for v in P.vertices for x in v))
+    return D, tuple(tuple(int(x * D) for x in v) for v in P.vertices)
 
 
 def test_pulling_volume_matches_the_fraction_placing_reference():
@@ -268,6 +269,9 @@ def test_the_volume_of_a_raw_simplex_is_one_determinant(monkeypatch):
 
 
 def test_int_chart_coordinates_give_the_fraction_chart_results(monkeypatch):
+    # the chart coordinates of the hull, the volume and the placing cells
+    # are read off Polytope._ints: swap it, for every polytope, for the
+    # Fraction products on a larger common denominator
     corpus = _volume_corpus(count=300, seed=8312)
 
     def results():
@@ -279,7 +283,7 @@ def test_int_chart_coordinates_give_the_fraction_chart_results(monkeypatch):
         return out
 
     int_chart = results()
-    monkeypatch.setattr(geometry, "_integer_chart", _fraction_chart)
+    monkeypatch.setattr(Polytope, "_ints", property(_fraction_ints))
     assert int_chart == results()
 
 
